@@ -73,6 +73,9 @@ class Cut:
 class OuterApprox:
     """Ball-plus-cuts search region with cached center data.
 
+    ``A`` (m x n) and ``b`` (m) stack the normals and offsets of ``cuts``
+    row by row; they are built from ``cuts`` when not given, and add_cut and
+    drop_least_binding carry them over row by row instead of restacking.
     ``center`` and ``conic`` are set by analytic_center() and invalidated by
     add_cut(); ``hint`` keeps the previous center (and its minimum slack) as
     a warm-start seed for the recovery step after a central cut.
@@ -84,76 +87,76 @@ class OuterApprox:
     center: np.ndarray | None = None
     conic: np.ndarray | None = None
     hint: tuple | None = field(default=None, repr=False)
+    A: np.ndarray | None = field(default=None, repr=False)
+    b: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.A is None:
+            self.A = np.array([c.normal for c in self.cuts], dtype=float).reshape(-1, self.dimension)
+            self.b = np.array([c.offset for c in self.cuts], dtype=float)
+        self.A.setflags(write=False)
+        self.b.setflags(write=False)
 
     def cut_slacks(self, x):
-        if not self.cuts:
-            return np.empty(0)
-        A = np.stack([c.normal for c in self.cuts])
-        b = np.array([c.offset for c in self.cuts])
-        return A @ x - b
+        return self.A @ x - self.b
 
     def ball_slack(self, x):
         return self.ball_radius - float(np.linalg.norm(x))
 
-    def min_slack(self, x):
+    def min_slack(self, x, slacks=None):
+        """Smallest slack at x; ``slacks`` may pass cut_slacks(x) if known."""
         s = self.ball_slack(x)
-        slacks = self.cut_slacks(x)
+        if slacks is None:
+            slacks = self.cut_slacks(x)
         if slacks.size:
             s = min(s, float(slacks.min()))
         return s
 
-    def is_interior(self, x, margin=0.0):
-        return self.min_slack(x) > margin
+    def is_interior(self, x, margin=0.0, slacks=None):
+        return self.min_slack(x, slacks) > margin
 
 
-def barrier_value(P: OuterApprox, x) -> float:
+def barrier_value(P: OuterApprox, x, slacks=None) -> float:
     """F(x); raises NotInterior (with the violated constraint index, -1 for
-    the ball) when x is not strictly inside."""
+    the ball) when x is not strictly inside.  ``slacks``, if given, must be
+    P.cut_slacks(x); the gradient and Hessian take it the same way."""
     x = np.asarray(x, dtype=float)
     q = P.ball_radius**2 - float(x @ x)
     if q <= 0.0:
         raise NotInterior("point on or outside the bounding ball", index=-1)
-    slacks = P.cut_slacks(x)
+    if slacks is None:
+        slacks = P.cut_slacks(x)
     if slacks.size and slacks.min() <= 0.0:
         raise NotInterior("point violates a cut", index=int(np.argmin(slacks)))
     return float(-np.sum(np.log(slacks)) - np.log(q)) if slacks.size else float(-np.log(q))
 
 
-def barrier_gradient(P: OuterApprox, x) -> np.ndarray:
+def barrier_gradient(P: OuterApprox, x, slacks=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     q = P.ball_radius**2 - float(x @ x)
     g = (2.0 / q) * x
     if P.cuts:
-        A = np.stack([c.normal for c in P.cuts])
-        slacks = P.cut_slacks(x)
-        g = g - A.T @ (1.0 / slacks)
+        if slacks is None:
+            slacks = P.cut_slacks(x)
+        g = g - P.A.T @ (1.0 / slacks)
     return g
 
 
-def barrier_hessian(P: OuterApprox, x) -> np.ndarray:
+def barrier_hessian(P: OuterApprox, x, slacks=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = P.dimension
     q = P.ball_radius**2 - float(x @ x)
     H = (2.0 / q) * np.eye(n) + (4.0 / q**2) * np.outer(x, x)
     if P.cuts:
-        A = np.stack([c.normal for c in P.cuts])
-        slacks = P.cut_slacks(x)
-        H = H + (A / slacks[:, None]**2).T @ A
+        if slacks is None:
+            slacks = P.cut_slacks(x)
+        H = H + (P.A / slacks[:, None]**2).T @ P.A
     return H
-
-
-def _conic_coefficients(P: OuterApprox, omega) -> np.ndarray:
-    q = P.ball_radius**2 - float(omega @ omega)
-    slacks = P.cut_slacks(omega)
-    return q / (2.0 * slacks) if slacks.size else np.empty(0)
 
 
 def conic_residual(P: OuterApprox, omega, lambdas) -> float:
     """Norm of omega - sum_i lambda_i a_i (zero at an exact center)."""
-    recon = np.zeros(P.dimension)
-    for lam, cut in zip(lambdas, P.cuts):
-        recon += lam * cut.normal
-    return float(np.linalg.norm(omega - recon))
+    return float(np.linalg.norm(omega - lambdas @ P.A))
 
 
 def _recover_interior(P: OuterApprox, start=None):
@@ -225,13 +228,16 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     if warm_start is not None and not P.is_interior(np.asarray(warm_start, dtype=float)):
         raise NotInterior("warm start is not strictly interior")
     x = _recover_interior(P, warm_start)
+    # the slacks of the current iterate, computed once and shared by the
+    # gradient, Hessian, line search, certificate and hint
+    s = P.cut_slacks(x)
 
     for it in range(MAX_NEWTON_ITERS):
         if record_iterates is not None:
             record_iterates.append(x.copy())
-        g = barrier_gradient(P, x)
+        g = barrier_gradient(P, x, s)
         gnorm = float(np.linalg.norm(g))
-        H = barrier_hessian(P, x)
+        H = barrier_hessian(P, x, s)
         try:
             factor = cho_factor(H, lower=True)
         except np.linalg.LinAlgError as exc:  # strict convexity should prevent this
@@ -249,25 +255,28 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
         if decrement <= PURE_PHASE:
             # quadratic-convergence region of the self-concordant barrier:
             # take full steps; an Armijo test here would drown in the noise
-            # floor of evaluating F and stall the iteration
-            candidate = x + step
-            if P.is_interior(candidate):
-                x = candidate
-                continue
-            # float dust can push the full step onto the boundary; damp once
-            if P.is_interior(x + 0.5 * step):
-                x = x + 0.5 * step
-                continue
-            raise NoConvergence(
-                f"full Newton step left the region at iteration {it} "
-                f"(decrement {decrement:.3e})", iterations=it, last_point=x)
+            # floor of evaluating F and stall the iteration; float dust can
+            # push the full step onto the boundary, so damp once if needed
+            for t in (1.0, 0.5):
+                candidate = x + t * step
+                s_candidate = P.cut_slacks(candidate)
+                if P.is_interior(candidate, slacks=s_candidate):
+                    x, s = candidate, s_candidate
+                    break
+            else:
+                raise NoConvergence(
+                    f"full Newton step left the region at iteration {it} "
+                    f"(decrement {decrement:.3e})", iterations=it, last_point=x)
+            continue
 
-        fx = barrier_value(P, x)
+        fx = barrier_value(P, x, s)
         slope = float(g @ step)
         t = 1.0
         while t > 1e-18:
             candidate = x + t * step
-            if P.is_interior(candidate) and barrier_value(P, candidate) <= fx + ARMIJO * t * slope:
+            s_candidate = P.cut_slacks(candidate)
+            if (P.is_interior(candidate, slacks=s_candidate)
+                    and barrier_value(P, candidate, s_candidate) <= fx + ARMIJO * t * slope):
                 break
             t *= 0.5
         else:
@@ -275,7 +284,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
                 f"line search stalled at iteration {it} (decrement {decrement:.3e})",
                 iterations=it, last_point=x,
             )
-        x = x + t * step
+        x, s = candidate, s_candidate
     else:
         raise NoConvergence(
             f"no center after {MAX_NEWTON_ITERS} Newton iterations "
@@ -284,10 +293,10 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
         )
 
     logger.debug("center after %d Newton steps (|grad| %.2e)", it, gnorm)
-    lambdas = _conic_coefficients(P, x)
+    lambdas = q / (2.0 * s)   # q and s belong to the final x
     P.center = x
     P.conic = lambdas
-    P.hint = (x.copy(), P.min_slack(x))
+    P.hint = (x.copy(), P.min_slack(x, s))
     return x, lambdas
 
 
@@ -316,6 +325,8 @@ def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
         center=None,
         conic=None,
         hint=hint,
+        A=np.vstack((P.A, placed.normal)),
+        b=np.append(P.b, placed.offset),
     )
 
 
@@ -344,12 +355,13 @@ def drop_least_binding(P: OuterApprox, max_cuts: int) -> OuterApprox:
         if not candidates:
             raise CannotDrop("all remaining cuts are protected")
         victim = min(candidates, key=lambda i: lambdas[i] / slacks[i])
-        kept = tuple(c for i, c in enumerate(region.cuts) if i != victim)
         region = OuterApprox(
             dimension=region.dimension,
             ball_radius=region.ball_radius,
-            cuts=kept,
+            cuts=region.cuts[:victim] + region.cuts[victim + 1:],
             hint=(omega.copy(), region.min_slack(omega)),
+            A=np.delete(region.A, victim, axis=0),
+            b=np.delete(region.b, victim),
         )
         # removing constraints keeps omega interior, so it warm-starts Newton
         omega, _ = analytic_center(region, warm_start=omega)

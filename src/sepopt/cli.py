@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bodies import TOL_ZERO, distance_to_body
+from .analytic_center import TOL_NEWTON
+from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body
 from .errors import DimensionNot2D, InstanceFormatError, SepoptError
 from .heuristic import HeuristicConfig, run_heuristic
 from .instances import Instance, dumps_canonical, load_instance
@@ -163,10 +164,10 @@ def _tolerances(instance: Instance, delta: float, args) -> dict:
         "delta": delta,
         "r_min": r_min,
         "cut_depth": args.cut_depth,
-        "tol_support": 1e-12,
-        "tol_polar": 1e-9,
-        "tol_zero": 1e-12,
-        "tol_newton": 1e-10,
+        "tol_support": TOL_SUPPORT,
+        "tol_polar": TOL_POLAR,
+        "tol_zero": TOL_ZERO,
+        "tol_newton": TOL_NEWTON,
     }
 
 

@@ -17,15 +17,10 @@ from .errors import DegenerateUpdate, ZeroDirection
 @dataclass(frozen=True)
 class HeuristicConfig:
     max_iterations: int = 100
-    # the program always renormalizes after the update; kept as an explicit
-    # switch so configs serialize, but only True is meaningful
-    normalize_each_step: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.normalize_each_step:
-            raise ValueError("the update step always renormalizes the direction")
 
 
 @dataclass(frozen=True, eq=False)

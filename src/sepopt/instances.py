@@ -41,14 +41,11 @@ class Instance:
 
 def dumps_canonical(obj, indent=None) -> str:
     """JSON text with insertion-ordered keys and .17g floats."""
+    if indent is not None:
+        return _pretty(obj, 0, indent)
     pieces = []
     _emit(obj, pieces)
-    text = "".join(pieces)
-    if indent is not None:
-        # re-parse and pretty print keeps the float formatting because the
-        # emitted literals are exact; simpler to just indent structurally
-        return _pretty(obj, 0, indent)
-    return text
+    return "".join(pieces)
 
 
 def _emit(obj, out):

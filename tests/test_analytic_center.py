@@ -221,6 +221,69 @@ def test_drop_never_removes_protected_cut():
     assert any(c.protected for c in dropped.cuts)
 
 
+# ---------------------------------------------------------------- stacked storage
+
+def assert_stack_matches_cuts(P, x):
+    A = np.stack([c.normal for c in P.cuts]) if P.cuts else np.empty((0, P.dimension))
+    b = np.array([c.offset for c in P.cuts])
+    assert P.A.shape == (len(P.cuts), P.dimension)
+    assert np.array_equal(P.A, A) and np.array_equal(P.b, b)
+    assert np.array_equal(P.cut_slacks(x), A @ x - b)
+
+
+def test_stacked_arrays_follow_mixed_add_and_drop():
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 5):
+        P = OuterApprox(n)
+        assert_stack_matches_cuts(P, np.zeros(n))
+        first = rng.normal(size=n)
+        P = add_cut(P, Cut(first, -0.9, protected=True))
+        for step in range(40):
+            omega, _ = analytic_center(P)
+            assert_stack_matches_cuts(P, omega)
+            if step % 3 == 2:
+                P = drop_least_binding(P, max(2, len(P.cuts) - int(rng.integers(1, 4))))
+                assert P.cuts[0].protected
+                assert_stack_matches_cuts(P, P.center)
+            a = rng.normal(size=n)
+            a /= np.linalg.norm(a)
+            P = add_cut(P, Cut(a, float(a @ omega) - float(rng.uniform(0.0, 0.05))))
+            assert_stack_matches_cuts(P, omega)
+        # a region built from the same cuts stacks them identically
+        rebuilt = OuterApprox(n, cuts=P.cuts)
+        assert np.array_equal(rebuilt.A, P.A) and np.array_equal(rebuilt.b, P.b)
+
+
+def test_barrier_functions_given_slacks_match_recomputing_path_bitwise():
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        P = random_region(rng)
+        omega, _ = analytic_center(P)
+        x = omega + rng.normal(size=P.dimension) * 0.01
+        if not P.is_interior(x):
+            continue
+        s = P.cut_slacks(x)
+        assert barrier_value(P, x, s) == barrier_value(P, x)
+        assert np.array_equal(barrier_gradient(P, x, s), barrier_gradient(P, x))
+        assert np.array_equal(barrier_hessian(P, x, s), barrier_hessian(P, x))
+
+
+def test_conic_residual_matches_loop_reference():
+    # the matrix product sums in another order than the loop, so the two
+    # agree to float64 rounding, scaled by the magnitudes summed
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        P = random_region(rng, num_cuts=int(rng.integers(1, 8)))
+        omega, lam = analytic_center(P)
+        recon = np.zeros(P.dimension)
+        for weight, cut in zip(lam, P.cuts):
+            recon += weight * cut.normal
+        reference = float(np.linalg.norm(omega - recon))
+        scale = float(np.linalg.norm(omega) + np.abs(lam).sum())
+        tol = 4 * (len(P.cuts) + 1) * np.finfo(float).eps * scale
+        assert abs(conic_residual(P, omega, lam) - reference) <= tol
+
+
 # ---------------------------------------------------------------- inradius
 
 def test_inscribed_radius_free_ball():
