@@ -25,13 +25,11 @@ from .bodies import (
     AffineImage,
     Ball,
     BodySpec,
-    PolarMembership,
     SupportResult,
     VertexPolytope,
     affine_image,
     ball,
     distance_to_body,
-    polar_membership,
     random_instance,
     support,
     vertex_polytope,
@@ -61,9 +59,9 @@ from .traces import ComparisonReport, ComparisonRow, RunTrace, TraceRow
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineImage", "Ball", "BodySpec", "PolarMembership", "SupportResult",
-    "VertexPolytope", "affine_image", "ball", "distance_to_body",
-    "polar_membership", "random_instance", "support", "vertex_polytope",
+    "AffineImage", "Ball", "BodySpec", "SupportResult", "VertexPolytope",
+    "affine_image", "ball", "distance_to_body", "random_instance", "support",
+    "vertex_polytope",
     "HeuristicConfig", "HeuristicOutcome", "run_heuristic",
     "Cut", "OuterApprox", "add_cut", "analytic_center", "barrier_gradient",
     "barrier_hessian", "barrier_value", "drop_least_binding",

@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import CannotDrop, EmptyInterior, NoConvergence, NotInterior, ZeroDirection
 
@@ -34,6 +34,10 @@ PURE_PHASE = 0.25        # decrement below which full Newton steps are safe
 ARMIJO = 0.01
 MAX_NEWTON_ITERS = 200
 KIND_TOL = 1e-12
+
+# the double-precision Cholesky factor and solve behind scipy's cho_factor and
+# cho_solve, called directly to skip their per-call wrapping
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 DEEP = "deep"
 CENTRAL = "central"
@@ -214,6 +218,30 @@ def _phase1(P: OuterApprox, iterations=600):
     )
 
 
+def _newton_step(H, g):
+    """Solve H step = -g through the Cholesky factor of H.
+
+    The LAPACK calls and checks of cho_solve(cho_factor(H, lower=True), -g),
+    in the same order, so the step is bitwise the same: a non-finite H or g
+    raises ValueError, an H that is not positive definite NoConvergence.
+    """
+    if not np.isfinite(H).all():
+        raise ValueError("Hessian must not contain infs or NaNs")
+    factor, info = _potrf(H, lower=True, clean=False)
+    if info > 0:  # strict convexity should prevent this
+        raise NoConvergence(f"Hessian factorization failed: {info}-th leading minor "
+                            "of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    rhs = -g
+    if not np.isfinite(rhs).all():
+        raise ValueError("gradient must not contain infs or NaNs")
+    step, info = _potrs(factor, rhs, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return step
+
+
 def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     """Damped-Newton minimization of the barrier; returns (omega, lambdas).
 
@@ -237,12 +265,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             record_iterates.append(x.copy())
         g = barrier_gradient(P, x, s)
         gnorm = float(np.linalg.norm(g))
-        H = barrier_hessian(P, x, s)
-        try:
-            factor = cho_factor(H, lower=True)
-        except np.linalg.LinAlgError as exc:  # strict convexity should prevent this
-            raise NoConvergence(f"Hessian factorization failed: {exc}") from exc
-        step = cho_solve(factor, -g)
+        step = _newton_step(barrier_hessian(P, x, s), g)
         decrement = float(np.sqrt(max(0.0, -g @ step)))
         # the conic reconstruction residual equals (q/2)*|grad F|, so the
         # decrement-based stop additionally requires the certificate bound

@@ -218,8 +218,9 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
     returned distance is within ``tol`` of the true distance; a returned 0.0
     certifies that p is within ``tol`` of the body.
 
-    Returns (distance, witness).  Raises NoConvergence if the duality gap
-    fails to close within ``max_iterations`` support queries.
+    Returns (distance, witness).  Raises NoConvergence, carrying the last
+    iterate (a point of the body) as ``last_point``, if the duality gap fails
+    to close within ``max_iterations`` support queries.
     """
     p = _as_vector(p, body.dimension, "query point")
     if float(np.linalg.norm(p)) < TOL_ZERO:
@@ -287,32 +288,8 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
 
     raise NoConvergence(
         f"distance iteration did not reach tol={tol} in {max_iterations} steps",
-        iterations=max_iterations,
+        iterations=max_iterations, last_point=x,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PolarMembership:
-    """Outcome of the one-query polar membership test."""
-
-    inside: bool
-    separator: np.ndarray | None = None  # support maximizer k with k.c > 1
-
-
-def polar_membership(body: BodySpec, c) -> PolarMembership:
-    """Decide whether c lies in the polar {c : c.x <= 1 for all x in the body}.
-
-    One support query: c is in the polar iff the support value is <= 1 (up to
-    TOL_POLAR).  Otherwise the maximizer k certifies c is outside: k.c > 1
-    while k.q <= 1 for every polar point q.  The zero vector is always inside.
-    """
-    c = _as_vector(c, body.dimension, "direction")
-    if float(np.linalg.norm(c)) < TOL_ZERO:
-        return PolarMembership(True)
-    res = support(body, c)
-    if res.value <= 1.0 + TOL_POLAR:
-        return PolarMembership(True)
-    return PolarMembership(False, res.maximizer)
 
 
 def _unit(rng, n):

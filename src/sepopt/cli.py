@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic_center import TOL_NEWTON
-from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body
-from .errors import DimensionNot2D, InstanceFormatError, SepoptError
+from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body, support
+from .errors import DimensionNot2D, InstanceFormatError, NoConvergence, SepoptError
 from .heuristic import HeuristicConfig, run_heuristic
 from .instances import Instance, dumps_canonical, load_instance
 from .reductions import (
@@ -203,8 +203,29 @@ def cmd_separate(args) -> int:
 
 
 def _truth_status(instance: Instance, delta: float):
-    dist, _ = distance_to_body(
-        instance.body, instance.query_point, tol=min(delta / 10.0, 1e-4))
+    """("outside" or "inside", distance) of the query point against delta.
+
+    When the distance iteration runs out of steps, its last iterate x still
+    decides the status if the bounds it certifies clear delta: x lies in the
+    body, so the distance is at most |x - p|; with g = x - p and s the support
+    maximizer for -g, the Frank-Wolfe gap g.(x - s) bounds |x - p|^2 / 2 minus
+    its minimum over the body, so the distance is at least
+    sqrt(|x - p|^2 - 2 gap).  The reported distance is then |x - p|.
+    Otherwise the NoConvergence propagates.
+    """
+    body, p = instance.body, instance.query_point
+    try:
+        dist, _ = distance_to_body(body, p, tol=min(delta / 10.0, 1e-4))
+    except NoConvergence as exc:
+        x = exc.last_point
+        g = x - p
+        dist = float(np.linalg.norm(g))
+        if dist <= delta:
+            return "inside", dist
+        gap = float(g @ (x - support(body, -g).maximizer))
+        if np.sqrt(max(0.0, dist * dist - 2.0 * gap)) > delta:
+            return "outside", dist
+        raise
     return ("outside" if dist > delta else "inside"), dist
 
 

@@ -83,7 +83,7 @@ def _pretty(obj, level, indent):
         return "[\n" + ",\n".join(items) + f"\n{closing}]"
     if isinstance(obj, dict):
         return "{}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return "[]"
     return _scalar(obj)
 

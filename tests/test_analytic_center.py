@@ -1,5 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from sepopt import (
     Cut,
@@ -13,9 +16,11 @@ from sepopt import (
     inscribed_radius_estimate,
 )
 from sepopt.analytic_center import CENTRAL, DEEP, SHALLOW, conic_residual
-from sepopt.errors import CannotDrop, EmptyInterior, NotInterior
+from sepopt.errors import CannotDrop, EmptyInterior, NoConvergence, NotInterior
 
 SQRT3 = np.sqrt(3.0)
+# the module itself; the package attribute of the same name is the function
+ENGINE = importlib.import_module("sepopt.analytic_center")
 
 
 def halfspace(ax, ay, b, **kw):
@@ -282,6 +287,49 @@ def test_conic_residual_matches_loop_reference():
         scale = float(np.linalg.norm(omega) + np.abs(lam).sum())
         tol = 4 * (len(P.cuts) + 1) * np.finfo(float).eps * scale
         assert abs(conic_residual(P, omega, lam) - reference) <= tol
+
+
+# ---------------------------------------------------------------- Newton solve
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_newton_step_matches_scipy_cholesky_bitwise(n):
+    rng = np.random.default_rng([31, n])
+    for _ in range(5):
+        P = random_region(rng, n=n, num_cuts=2 * n)
+        u = rng.normal(size=n)
+        # every cut keeps slack >= 0.1 at the origin, so |x| < 0.1 is interior
+        x = float(rng.uniform(0.0, 0.09)) * u / np.linalg.norm(u)
+        H, g = barrier_hessian(P, x), barrier_gradient(P, x)
+        expected = cho_solve(cho_factor(H, lower=True), -g)
+        assert ENGINE._newton_step(H, g).tobytes() == expected.tobytes()
+
+
+def one_cut_region():
+    return add_cut(OuterApprox(2), halfspace(1, 0, 0))
+
+
+def test_indefinite_hessian_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(ENGINE, "barrier_hessian",
+                        lambda P, x, slacks=None: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NoConvergence) as err:
+        analytic_center(one_cut_region())
+    assert str(err.value).startswith("Hessian factorization failed")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_hessian_raises_value_error(monkeypatch, bad):
+    monkeypatch.setattr(ENGINE, "barrier_hessian",
+                        lambda P, x, slacks=None: np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError):
+        analytic_center(one_cut_region())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_raises_value_error(monkeypatch, bad):
+    monkeypatch.setattr(ENGINE, "barrier_gradient",
+                        lambda P, x, slacks=None: np.array([bad, 0.0]))
+    with pytest.raises(ValueError):
+        analytic_center(one_cut_region())
 
 
 # ---------------------------------------------------------------- inradius

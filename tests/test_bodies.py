@@ -6,8 +6,8 @@ from sepopt import (
     affine_image,
     ball,
     distance_to_body,
-    polar_membership,
     random_instance,
+    separate_polar,
     support,
     vertex_polytope,
 )
@@ -171,19 +171,19 @@ def test_distance_triangle_consistency(worked_body):
 # ---------------------------------------------------------------- polar
 
 def test_polar_membership_boundary_point(worked_body):
-    res = polar_membership(worked_body, np.array([3.0, 1.0]))
-    assert res.inside  # support value is exactly 1
+    res = separate_polar(worked_body, np.array([3.0, 1.0]))
+    assert res.member  # support value is exactly 1
 
 
 def test_polar_membership_outside_with_separator(worked_body):
-    res = polar_membership(worked_body, np.array([0.0, 2.0]))
-    assert not res.inside
-    assert np.array_equal(res.separator, [0.0, 1.0])
-    assert float(res.separator @ np.array([0.0, 2.0])) > 1.0
+    res = separate_polar(worked_body, np.array([0.0, 2.0]))
+    assert not res.member
+    assert np.array_equal(res.support_point, [0.0, 1.0])
+    assert float(res.support_point @ np.array([0.0, 2.0])) > 1.0
 
 
 def test_polar_membership_zero_vector(worked_body):
-    assert polar_membership(worked_body, np.zeros(2)).inside
+    assert separate_polar(worked_body, np.zeros(2)).member
 
 
 def test_polar_duality_between_worked_hulls(worked_body, worked_polar_body):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -7,10 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepopt import Instance, ball, dump_instance, load_instance, random_instance
-from sepopt.cli import compare_corpus, main
-from sepopt.errors import InstanceFormatError
-from sepopt.instances import parse_instance
+import sepopt.cli
+from sepopt import (
+    Instance,
+    ball,
+    distance_to_body,
+    dump_instance,
+    load_instance,
+    random_instance,
+    vertex_polytope,
+)
+from sepopt.cli import compare_corpus, compare_one, main
+from sepopt.errors import InstanceFormatError, NoConvergence
+from sepopt.instances import dumps_canonical, parse_instance
 
 DATA = Path(__file__).parent / "data"
 WORKED_OUTSIDE = DATA / "worked2d_outside.json"
@@ -88,6 +98,12 @@ def test_ball_instance_roundtrip(tmp_path):
     inst = load_instance(path)
     assert inst.body.variant.radius == 1.5
     assert np.allclose(inst.body.variant.center, [0.1, -0.2])
+
+
+def test_indented_form_prints_empty_arrays_like_compact_form():
+    obj = {"a": np.empty(0), "b": np.empty((0, 3)), "c": [], "d": ()}
+    assert json.loads(dumps_canonical(obj, indent=2)) == json.loads(dumps_canonical(obj))
+    assert dumps_canonical(obj, indent=2) == '{\n  "a": [],\n  "b": [],\n  "c": [],\n  "d": []\n}'
 
 
 # ---------------------------------------------------------------- separate
@@ -242,6 +258,52 @@ def test_compare_worker_pool_matches_serial(small_corpus, tmp_path):
     serial = compare_corpus(paths, jobs=1)
     parallel = compare_corpus(paths, jobs=2)
     assert [r.to_dict() for r in serial.rows] == [r.to_dict() for r in parallel.rows]
+
+
+def compare_with_step_budget(monkeypatch, path, max_iterations):
+    """compare_one on ``path`` with the distance iteration capped so that it
+    cannot converge."""
+    instance = load_instance(path)
+    capped = functools.partial(distance_to_body, max_iterations=max_iterations)
+    with pytest.raises(NoConvergence):
+        capped(instance.body, instance.query_point, tol=1e-4)
+    monkeypatch.setattr(sepopt.cli, "distance_to_body", capped)
+    return compare_one(path)
+
+
+def test_compare_decides_far_outside_point_from_unconverged_distance(tmp_path, monkeypatch):
+    body, p = random_instance(3, 7, 800, place="outside", margin=0.5)
+    path = tmp_path / "far.json"
+    dump_instance(Instance(body, p, 1e-3), path)
+    row = compare_with_step_budget(monkeypatch, path, max_iterations=1)
+    assert row.error is None
+    assert row.true_status == "outside"
+    assert row.true_distance >= 0.5
+    assert row.heuristic_verdict == "separated"
+    assert row.standard_verdict == "separated"
+    assert row.heuristic_calls > 0 and row.standard_calls > 0
+    assert row.agreement
+
+
+def test_compare_decides_point_near_vertex_from_unconverged_distance(tmp_path, monkeypatch):
+    square = vertex_polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]], inner_radius=1.0)
+    path = tmp_path / "corner.json"
+    dump_instance(Instance(square, np.array([0.9999, 0.9999]), 1e-3), path)
+    row = compare_with_step_budget(monkeypatch, path, max_iterations=0)
+    assert row.error is None
+    assert row.true_status == "inside"
+    assert row.heuristic_verdict == "in_body"
+    assert row.standard_verdict == "in_body"
+    assert row.agreement
+
+
+def test_compare_keeps_error_when_unconverged_distance_decides_nothing(tmp_path, monkeypatch):
+    body, p = random_instance(3, 7, 801, place="inside", margin=0.1)
+    path = tmp_path / "inside.json"
+    dump_instance(Instance(body, p, 1e-3), path)
+    row = compare_with_step_budget(monkeypatch, path, max_iterations=0)
+    assert row.true_status == "error"
+    assert row.error.startswith("NoConvergence: distance iteration did not reach")
 
 
 # ---------------------------------------------------------------- trace2d

@@ -31,11 +31,14 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
 DELTA = 1e-3
 SEED = 7
 KINDS = ("poly", "ellipsoid")
-DIMENSIONS = (4, 8)
+DIMENSIONS = (4, 8)        # drawn in turn from one RNG seeded with SEED
+OWN_RNG_DIMENSIONS = (16,)  # each drawn from its own RNG seeded with [SEED, n]
 PLACEMENTS = {"just-in": 0.99, "just-out": 1.01}
 ROUTES = {"ours": heuristic_reduction, "standard": standard_reduction}
-RUN_IDS = [f"{kind}({n}) {placement}"
-           for kind in KINDS for n in DIMENSIONS for placement in PLACEMENTS]
+RUN_IDS = ([f"{kind}({n}) {placement}"
+            for kind in KINDS for n in DIMENSIONS for placement in PLACEMENTS]
+           + [f"{kind}({n}) {placement}"
+              for n in OWN_RNG_DIMENSIONS for kind in KINDS for placement in PLACEMENTS])
 
 
 def hexes(values):
@@ -66,40 +69,51 @@ def outcome(route, body, p):
     }
 
 
-def generate_inputs():
-    """The seeded run inputs (needs scipy's linprog for poly radii)."""
+def draw_runs(rng, kind, n):
+    """The inputs of one body and its placements (needs scipy's linprog for poly radii)."""
     from scipy.optimize import linprog
 
-    rng = np.random.default_rng(SEED)
+    if kind == "poly":
+        extra = rng.normal(size=(4 * n, n))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        data = np.vstack([np.eye(n), -np.eye(n), extra])
+        r0 = 0.999 / np.sqrt(n)
+    else:
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        q = q * np.sign(np.diag(r))
+        data = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
+        r0 = None
     runs = []
-    for kind in KINDS:
-        for n in DIMENSIONS:
-            if kind == "poly":
-                extra = rng.normal(size=(4 * n, n))
-                extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-                data = np.vstack([np.eye(n), -np.eye(n), extra])
-                r0 = 0.999 / np.sqrt(n)
-            else:
-                q, r = np.linalg.qr(rng.normal(size=(n, n)))
-                q = q * np.sign(np.diag(r))
-                data = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
-                r0 = None
-            for placement, scale in PLACEMENTS.items():
-                u = rng.normal(size=n)
-                u /= np.linalg.norm(u)
-                if kind == "poly":
-                    res = linprog(-u, A_ub=data, b_ub=np.ones(len(data)),
-                                  bounds=[(None, None)] * n, method="highs")
-                    rho = 1.0 / float(u @ res.x)
-                else:
-                    rho = 1.0 / float(np.linalg.norm(np.linalg.solve(data, u)))
-                runs.append({
-                    "kind": kind,
-                    "n": n,
-                    "r0": None if r0 is None else float(r0).hex(),
-                    "data": [hexes(row) for row in data],
-                    "p": hexes(scale * rho * u),
-                })
+    for scale in PLACEMENTS.values():
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        if kind == "poly":
+            res = linprog(-u, A_ub=data, b_ub=np.ones(len(data)),
+                          bounds=[(None, None)] * n, method="highs")
+            rho = 1.0 / float(u @ res.x)
+        else:
+            rho = 1.0 / float(np.linalg.norm(np.linalg.solve(data, u)))
+        runs.append({
+            "kind": kind,
+            "n": n,
+            "r0": None if r0 is None else float(r0).hex(),
+            "data": [hexes(row) for row in data],
+            "p": hexes(scale * rho * u),
+        })
+    return runs
+
+
+def generate_inputs():
+    """The seeded run inputs, keyed by run id.
+
+    Dimensions past ``DIMENSIONS`` draw from their own RNG, so that adding
+    one leaves the inputs of the runs already recorded unchanged.
+    """
+    rng = np.random.default_rng(SEED)
+    runs = [run for kind in KINDS for n in DIMENSIONS for run in draw_runs(rng, kind, n)]
+    for n in OWN_RNG_DIMENSIONS:
+        rng = np.random.default_rng([SEED, n])
+        runs += [run for kind in KINDS for run in draw_runs(rng, kind, n)]
     return dict(zip(RUN_IDS, runs))
 
 
