@@ -110,10 +110,6 @@ class FeasibilityOutcome:
     trace: RunTrace
     region: OuterApprox | None = None
 
-    @property
-    def declared_empty(self) -> bool:
-        return not self.feasible
-
 
 def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     """Run the cutting-plane loop; oracle exceptions propagate to the caller."""

@@ -63,14 +63,6 @@ class CenterOriginFailure(SepoptError):
     """The direction-search center collapsed onto the origin and retries failed."""
 
 
-class OracleFailure(SepoptError):
-    """A separation callback could not answer.
-
-    Custom oracles may raise this; the feasibility engine propagates oracle
-    exceptions unwrapped, so callers see the original error either way.
-    """
-
-
 class DimensionNot2D(SepoptError):
     """A 2-D-only export was requested for a body of different dimension."""
 

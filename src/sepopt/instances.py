@@ -40,52 +40,29 @@ class Instance:
 
 
 def dumps_canonical(obj, indent=None) -> str:
-    """JSON text with insertion-ordered keys and .17g floats."""
-    if indent is not None:
-        return _pretty(obj, 0, indent)
-    pieces = []
-    _emit(obj, pieces)
-    return "".join(pieces)
+    """JSON text with insertion-ordered keys and .17g floats.
+
+    Compact by default; with ``indent``, one item per line and empty
+    containers as ``{}`` or ``[]``."""
+    return _dump(obj, indent, 0)
 
 
-def _emit(obj, out):
+def _dump(obj, indent, level):
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
+        colon = ":" if indent is None else ": "
+        items = [json.dumps(str(k)) + colon + _dump(v, indent, level + 1)
+                 for k, v in obj.items()]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
+        items = [_dump(v, indent, level + 1) for v in obj]
+        brackets = "[]"
     else:
-        out.append(_scalar(obj))
-
-
-def _pretty(obj, level, indent):
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
-    if isinstance(obj, dict) and obj:
-        items = [
-            f"{pad}{json.dumps(str(k))}: {_pretty(v, level + 1, indent)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{closing}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
-        items = [f"{pad}{_pretty(v, level + 1, indent)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{closing}]"
-    if isinstance(obj, dict):
-        return "{}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[]"
-    return _scalar(obj)
+        return _scalar(obj)
+    if indent is None or not items:
+        return brackets[0] + ",".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * (level + 1))
+    closing = "\n" + " " * (indent * level)
+    return brackets[0] + pad + ("," + pad).join(items) + closing + brackets[1]
 
 
 def _scalar(obj):

@@ -32,6 +32,7 @@ from .traces import RunTrace
 logger = logging.getLogger(__name__)
 
 CONIC_LAMBDA_FLOOR = -1e-9
+MAX_DEGENERATE_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class ReductionConfig:
     max_iterations: int | None = None
     r_min: float | None = None
     seed: int = 0
-    max_degenerate_retries: int = 8
 
     def __post_init__(self):
         if self.cut_depth > 0:
@@ -153,6 +153,45 @@ def _verify_conic_rows(trace: RunTrace):
                     f"residual {row.conic_residual:.3e} > {bound:.3e}")
 
 
+def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
+            search) -> SeparationVerdict:
+    """The verdict frame both routes share.
+
+    Declares the origin inside, fixes the size floor, counts the support
+    queries and stamps the trace.  ``search(body, p, r_min, oracle, cfg)``
+    runs the route's feasibility problem and returns (outcome, h, v): on a
+    member, h is the separating functional and v its support value, so the
+    verdict is h in max-norm with margin (h.p - v) / max|h|.
+    """
+    start_time = time.perf_counter()
+    p = np.asarray(p, dtype=float)
+    if float(np.linalg.norm(p)) < TOL_ZERO:
+        return SeparationVerdict(False, None, None, delta, 0, 0, "origin_interior",
+                                 RunTrace(mode=mode, verdict="in_body"))
+
+    r_min = cfg.r_min if cfg.r_min is not None else default_r_min(
+        delta, body.outer_radius, body.dimension)
+    oracle = _CountingSupport(body)
+    outcome, h, v = search(body, p, r_min, oracle, cfg)
+
+    trace = outcome.trace
+    trace.mode = mode
+    trace.oracle_calls = oracle.count
+    logger.info("%s: %s after %d support calls", label,
+                "separated" if outcome.feasible else "in-body", oracle.count)
+    separator = margin = None
+    if outcome.feasible:
+        linf = float(np.abs(h).max())
+        separator = h / linf
+        margin = (float(h @ p) - v) / linf
+    trace.verdict = "separated" if outcome.feasible else "in_body"
+    trace.wall_time = time.perf_counter() - start_time
+    return SeparationVerdict(outcome.feasible, separator, margin, delta,
+                             oracle.count, outcome.iterations,
+                             "separator" if outcome.feasible else outcome.reason,
+                             trace, outcome.region)
+
+
 def heuristic_reduction(body: BodySpec, p, delta: float,
                         cfg: ReductionConfig = ReductionConfig()) -> SeparationVerdict:
     """Direction-space separation search driven by correction cuts.
@@ -165,18 +204,13 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
     caller with max-norm normalization.  The in-body declaration fires at the
     size floor r_min(delta) or on budget exhaustion.
     """
-    start_time = time.perf_counter()
-    p = np.asarray(p, dtype=float)
-    n = body.dimension
-    pnorm = float(np.linalg.norm(p))
-    if pnorm < TOL_ZERO:
-        trace = RunTrace(mode="heuristic_reduction", verdict="in_body")
-        return SeparationVerdict(False, None, None, delta, 0, 0,
-                                 "origin_interior", trace)
+    return _reduce("heuristic_reduction", "direction search", body, p, delta, cfg,
+                   _direction_search)
 
-    r_min = cfg.r_min if cfg.r_min is not None else default_r_min(delta, body.outer_radius, n)
+
+def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
+    axis = p / float(np.linalg.norm(p))
     rng = np.random.default_rng(cfg.seed)
-    oracle = _CountingSupport(body)
     hit = {}
 
     def adapter(omega):
@@ -185,7 +219,7 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
             raise CenterOriginFailure("search center collapsed onto the origin")
         c = omega / onorm
         calls = 0
-        for _ in range(cfg.max_degenerate_retries + 1):
+        for _ in range(MAX_DEGENERATE_RETRIES + 1):
             res = oracle(c)
             calls += 1
             d = float(c @ res.maximizer - c @ p)
@@ -205,18 +239,18 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
                              support_point=res.maximizer, support_gap=d,
                              support_calls=calls)
         raise DegenerateCut(
-            f"no usable cut after {cfg.max_degenerate_retries} perturbations")
+            f"no usable cut after {MAX_DEGENERATE_RETRIES} perturbations")
 
     def run(initial_offset):
         problem = FeasibilityProblem(
-            dimension=n,
+            dimension=body.dimension,
             oracle=adapter,
             initial_radius=1.0,
             r_min=r_min,
             cut_depth=cfg.cut_depth,
             max_cuts=cfg.max_cuts,
             max_iterations=cfg.max_iterations,
-            initial_cuts=(Cut(p / pnorm, initial_offset, protected=True),),
+            initial_cuts=(Cut(axis, initial_offset, protected=True),),
         )
         return solve_feasibility(problem)
 
@@ -225,30 +259,8 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
     except CenterOriginFailure:
         # measure-zero event; retry once with a slightly shallow initial cut
         outcome = run(-1e-6)
-
-    trace = outcome.trace
-    trace.mode = "heuristic_reduction"
-    trace.oracle_calls = oracle.count
-    _verify_conic_rows(trace)
-
-    logger.info("direction search: %s after %d support calls",
-                "separated" if outcome.feasible else "in-body",
-                oracle.count)
-    if outcome.feasible:
-        c = hit["direction"]
-        linf = float(np.abs(c).max())
-        separator = c / linf
-        margin = (float(c @ p) - hit["value"]) / linf
-        trace.verdict = "separated"
-        trace.wall_time = time.perf_counter() - start_time
-        return SeparationVerdict(True, separator, margin, delta,
-                                 oracle.count, outcome.iterations,
-                                 "separator", trace, outcome.region)
-    trace.verdict = "in_body"
-    trace.wall_time = time.perf_counter() - start_time
-    return SeparationVerdict(False, None, None, delta,
-                             oracle.count, outcome.iterations,
-                             outcome.reason, trace, outcome.region)
+    _verify_conic_rows(outcome.trace)
+    return outcome, hit.get("direction"), hit.get("value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,17 +323,10 @@ def standard_reduction(body: BodySpec, p, delta: float,
     separates; it is reported max-norm normalized with its margin.  Cuts are
     applied centrally even though the polar oracle certifies depth.
     """
-    start_time = time.perf_counter()
-    p = np.asarray(p, dtype=float)
-    n = body.dimension
-    if float(np.linalg.norm(p)) < TOL_ZERO:
-        trace = RunTrace(mode="standard_reduction", verdict="in_body")
-        return SeparationVerdict(False, None, None, delta, 0, 0,
-                                 "origin_interior", trace)
+    return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 
-    outer = 1.0 / body.inner_radius
-    r_min = cfg.r_min if cfg.r_min is not None else default_r_min(delta, body.outer_radius, n)
-    oracle = _CountingSupport(body)
+
+def _polar_search(body: BodySpec, p, r_min, oracle, cfg):
     hit = {}
 
     def adapter(y):
@@ -329,42 +334,19 @@ def standard_reduction(body: BodySpec, p, delta: float,
         reply = separate_polar_slice(body, p, y, support_fn=oracle)
         calls = oracle.count - before
         if reply.member:
-            hit["point"] = np.asarray(y, dtype=float)
             hit["value"] = reply.support_value
             return Member(support_calls=calls)
         return CutAnswer(-reply.functional, offset=-reply.level,
                          support_point=reply.support_point, support_calls=calls)
 
     problem = FeasibilityProblem(
-        dimension=n,
+        dimension=body.dimension,
         oracle=adapter,
-        initial_radius=outer,
+        initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
         cut_depth=cfg.cut_depth,
         max_cuts=cfg.max_cuts,
         max_iterations=cfg.max_iterations,
     )
     outcome = solve_feasibility(problem)
-
-    trace = outcome.trace
-    trace.mode = "standard_reduction"
-    trace.oracle_calls = oracle.count
-
-    logger.info("polar route: %s after %d support calls",
-                "separated" if outcome.feasible else "in-body",
-                oracle.count)
-    if outcome.feasible:
-        y = hit["point"]
-        linf = float(np.abs(y).max())
-        separator = y / linf
-        margin = (float(y @ p) - hit["value"]) / linf
-        trace.verdict = "separated"
-        trace.wall_time = time.perf_counter() - start_time
-        return SeparationVerdict(True, separator, margin, delta,
-                                 oracle.count, outcome.iterations,
-                                 "separator", trace, outcome.region)
-    trace.verdict = "in_body"
-    trace.wall_time = time.perf_counter() - start_time
-    return SeparationVerdict(False, None, None, delta,
-                             oracle.count, outcome.iterations,
-                             outcome.reason, trace, outcome.region)
+    return outcome, outcome.point, hit.get("value")

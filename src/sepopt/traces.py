@@ -1,7 +1,7 @@
 """Run traces and comparison-report records (plain data, JSON/CSV friendly)."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 def _listify(x):
@@ -34,21 +34,7 @@ class TraceRow:
     conic_residual: float | None = None
 
     def to_dict(self):
-        return {
-            "iteration": self.iteration,
-            "center": self.center,
-            "query": self.query,
-            "oracle_answer": self.oracle_answer,
-            "support_point": self.support_point,
-            "support_gap": self.support_gap,
-            "support_calls": self.support_calls,
-            "cut_normal": self.cut_normal,
-            "cut_offset": self.cut_offset,
-            "cut_kind": self.cut_kind,
-            "inradius": self.inradius,
-            "lambda_min": self.lambda_min,
-            "conic_residual": self.conic_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -132,25 +118,10 @@ class ComparisonRow:
     error: str | None = None
 
     def to_dict(self):
-        return {
-            "instance_id": self.instance_id,
-            "dimension": self.dimension,
-            "true_status": self.true_status,
-            "true_distance": self.true_distance,
-            "heuristic_verdict": self.heuristic_verdict,
-            "heuristic_calls": self.heuristic_calls,
-            "standard_verdict": self.standard_verdict,
-            "standard_calls": self.standard_calls,
-            "agreement": self.agreement,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
-REPORT_COLUMNS = [
-    "instance_id", "dimension", "true_status", "true_distance",
-    "heuristic_verdict", "heuristic_calls",
-    "standard_verdict", "standard_calls", "agreement", "error",
-]
+REPORT_COLUMNS = [f.name for f in fields(ComparisonRow)]
 
 
 @dataclass

@@ -1,0 +1,32 @@
+"""Smoke test of ``scripts/run_comparison.py``: generate a corpus, then compare over it."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_comparison", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_corpus_runs_through_the_comparison(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    corpus = tmp_path / "corpus"
+    script.generate(corpus, dims=[2], per_dim=4, delta=1e-3, seed_base=0)
+    assert len(list(corpus.glob("*.json"))) == 4
+
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--corpus", str(corpus),
+                                      "--jobs", "1", "--out", str(out)])
+    script.main()
+    report = json.loads(out.read_text())
+    assert len(report["rows"]) == 4
+    assert report["aggregates"]["failed"] == 0
+    assert out.with_suffix(".csv").exists()
+    assert "instances: 4  failed: 0" in capsys.readouterr().out
