@@ -22,11 +22,6 @@ from .analytic_center import (
     inscribed_radius_estimate,
 )
 from .bodies import (
-    AffineImage,
-    Ball,
-    BodySpec,
-    SupportResult,
-    VertexPolytope,
     affine_image,
     ball,
     distance_to_body,
@@ -34,44 +29,30 @@ from .bodies import (
     support,
     vertex_polytope,
 )
-from .cutting_plane import (
-    CutAnswer,
-    FeasibilityOutcome,
-    FeasibilityProblem,
-    Member,
-    solve_feasibility,
-)
-from .heuristic import HeuristicConfig, HeuristicOutcome, run_heuristic
-from .instances import Instance, dump_instance, load_instance, parse_instance
+from .cutting_plane import CutAnswer, FeasibilityProblem, Member, solve_feasibility
+from .heuristic import HeuristicConfig, run_heuristic
+from .instances import Instance, dump_instance, load_instance
 from .reductions import (
-    PolarReply,
     ReductionConfig,
-    SeparationVerdict,
     correction_cut,
-    default_r_min,
     heuristic_reduction,
     separate_polar,
     separate_polar_slice,
     standard_reduction,
 )
-from .traces import ComparisonReport, ComparisonRow, RunTrace, TraceRow
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineImage", "Ball", "BodySpec", "SupportResult", "VertexPolytope",
     "affine_image", "ball", "distance_to_body", "random_instance", "support",
     "vertex_polytope",
-    "HeuristicConfig", "HeuristicOutcome", "run_heuristic",
+    "HeuristicConfig", "run_heuristic",
     "Cut", "OuterApprox", "add_cut", "analytic_center", "barrier_gradient",
     "barrier_hessian", "barrier_value", "drop_least_binding",
     "inscribed_radius_estimate",
-    "CutAnswer", "FeasibilityOutcome", "FeasibilityProblem", "Member",
-    "solve_feasibility",
-    "PolarReply", "ReductionConfig", "SeparationVerdict", "correction_cut",
-    "default_r_min", "heuristic_reduction", "separate_polar",
+    "CutAnswer", "FeasibilityProblem", "Member", "solve_feasibility",
+    "ReductionConfig", "correction_cut", "heuristic_reduction", "separate_polar",
     "separate_polar_slice", "standard_reduction",
-    "Instance", "dump_instance", "load_instance", "parse_instance",
-    "ComparisonReport", "ComparisonRow", "RunTrace", "TraceRow",
+    "Instance", "dump_instance", "load_instance",
     "__version__",
 ]

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .bodies import TOL_ZERO
 from .errors import CannotDrop, EmptyInterior, NoConvergence, NotInterior, ZeroDirection
 
 logger = logging.getLogger(__name__)
 
-TOL_ZERO = 1e-12
 TOL_NEWTON = 1e-10       # gradient-norm target at the center
 TOL_DECREMENT = 1e-8     # Newton-decrement fallback; see analytic_center()
 CONIC_RESIDUAL_SCALE = 1e-7   # certificate: |omega - sum lambda_i a_i| <= scale*(1+|omega|)

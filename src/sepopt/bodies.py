@@ -110,7 +110,7 @@ class BodySpec:
         elif isinstance(v, Ball):
             if v.center.shape != (n,):
                 raise ValueError(f"ball center must have length {n}")
-            if v.radius <= 0:
+            if not v.radius > 0:
                 raise ValueError("ball radius must be positive")
             cnorm = float(np.linalg.norm(v.center))
             if cnorm + v.radius > self.outer_radius + 1e-9:

@@ -14,6 +14,7 @@ log level.
 import argparse
 import concurrent.futures
 import logging
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ import numpy as np
 
 from .analytic_center import TOL_NEWTON
 from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body, support
-from .errors import DimensionNot2D, InstanceFormatError, NoConvergence, SepoptError
+from .errors import InstanceFormatError, NoConvergence, SepoptError
 from .heuristic import HeuristicConfig, run_heuristic
 from .instances import Instance, dumps_canonical, load_instance
 from .reductions import (
@@ -67,6 +68,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _checked(kind, accept, requirement):
+    """argparse ``type``: ``kind(text)``, refused unless it passes ``accept``."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+
+
 def _build_parser():
     parser = _Parser(prog="sepopt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -76,16 +93,21 @@ def _build_parser():
         p.add_argument("--instance", required=True, help="instance JSON file")
         p.add_argument("--mode", required=True, choices=sorted(MODE_ALIASES),
                        help="solver mode ('ours' = direction search)")
-        p.add_argument("--delta", type=float, default=None,
+        p.add_argument("--delta", type=_positive, default=None,
                        help="override the instance's accuracy parameter")
-        p.add_argument("--cut-depth", type=float, default=0.0,
+        p.add_argument("--cut-depth", default=0.0,
+                       type=_checked(float, lambda x: -math.inf < x <= 0.0,
+                                     "a finite number <= 0"),
                        help="cut offset relative to the center (<= 0; "
                             "write --cut-depth=-1e-3 for negatives)")
-        p.add_argument("--max-cuts", type=int, default=None)
-        p.add_argument("--max-iterations", type=int, default=None)
-        p.add_argument("--r-min", type=float, default=None,
+        p.add_argument("--max-cuts", default=None,
+                       type=_checked(int, lambda k: k >= 2, "an integer >= 2"))
+        p.add_argument("--max-iterations", default=None,
+                       type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
+        p.add_argument("--r-min", type=_positive, default=None,
                        help="override the size floor of the feasibility runs")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", default=0,
+                       type=_checked(int, lambda s: s >= 0, "an integer >= 0"))
 
     sep = sub.add_parser("separate", help="solve one instance")
     add_common(sep)
@@ -96,7 +118,7 @@ def _build_parser():
     cmp_.add_argument("--out", required=True, help="report JSON path (CSV written next to it)")
     cmp_.add_argument("--seeds", default="0", help="comma-separated seeds, one run per seed")
     cmp_.add_argument("--jobs", type=int, default=1, help="worker processes")
-    cmp_.add_argument("--delta", type=float, default=None)
+    cmp_.add_argument("--delta", type=_positive, default=None)
 
     t2d = sub.add_parser("trace2d", help="export a 2-D run trace as CSV")
     add_common(t2d)
@@ -123,7 +145,7 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
             return {"verdict": "in_body", "separator": None, "margin": None,
                     "oracle_calls": 0, "iterations": 0,
                     "reason": "origin_interior"}, trace, EXIT_IN_BODY
-        iters = args.max_iterations if args.max_iterations else 1000
+        iters = args.max_iterations or 1000
         start = time.perf_counter()
         outcome = run_heuristic(body, p, HeuristicConfig(max_iterations=iters))
         trace = heuristic_trace(outcome, wall_time=time.perf_counter() - start)
@@ -135,8 +157,8 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
         c, _, d = outcome.trace[-1]
         linf = float(np.abs(c).max())
         return {"verdict": "separated",
-                "separator": [float(v) for v in c / linf],
-                "margin": float(-d / linf),
+                "separator": c / linf,
+                "margin": -d / linf,
                 "oracle_calls": trace.oracle_calls,
                 "iterations": outcome.iterations,
                 "reason": "separator"}, trace, EXIT_SEPARATED
@@ -145,9 +167,8 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
     verdict = run(body, p, delta, _reduction_config(args))
     fragment = {
         "verdict": "separated" if verdict.separated else "in_body",
-        "separator": None if verdict.separator is None
-        else [float(v) for v in verdict.separator],
-        "margin": None if verdict.margin is None else float(verdict.margin),
+        "separator": verdict.separator,
+        "margin": verdict.margin,
         "oracle_calls": verdict.oracle_calls,
         "iterations": verdict.iterations,
         "reason": verdict.reason,
@@ -229,14 +250,14 @@ def _truth_status(instance: Instance, delta: float):
     return ("outside" if dist > delta else "inside"), dist
 
 
-def compare_one(path, seed=0, delta=None, cut_depth=0.0) -> ComparisonRow:
+def compare_one(path, seed=0, delta=None) -> ComparisonRow:
     """Run both reductions plus the distance oracle on one instance file."""
     instance_id = f"{Path(path).stem}#s{seed}"
     try:
         instance = load_instance(path)
         d = delta if delta is not None else instance.delta
         status, dist = _truth_status(instance, d)
-        cfg = ReductionConfig(cut_depth=cut_depth, seed=seed)
+        cfg = ReductionConfig(seed=seed)
         ours = heuristic_reduction(instance.body, instance.query_point, d, cfg)
         std = standard_reduction(instance.body, instance.query_point, d, cfg)
         expectation = status == "outside"
@@ -255,7 +276,7 @@ def compare_one(path, seed=0, delta=None, cut_depth=0.0) -> ComparisonRow:
             instance_id=instance_id,
             dimension=instance.body.dimension,
             true_status=status,
-            true_distance=float(dist),
+            true_distance=dist,
             heuristic_verdict="separated" if ours.separated else "in_body",
             heuristic_calls=ours.oracle_calls,
             standard_verdict="separated" if std.separated else "in_body",
@@ -273,11 +294,14 @@ def compare_one(path, seed=0, delta=None, cut_depth=0.0) -> ComparisonRow:
 
 
 def _compare_task(task):
+    # the pool pickles this function by name, and it looks compare_one up at
+    # call time, so a wrapper installed on the module before the workers fork
+    # (as the benchmark's probes are) is the one the workers run
     return compare_one(*task)
 
 
-def compare_corpus(paths, seeds=(0,), delta=None, cut_depth=0.0, jobs=1) -> ComparisonReport:
-    tasks = [(str(p), s, delta, cut_depth) for p in paths for s in seeds]
+def compare_corpus(paths, seeds=(0,), delta=None, jobs=1) -> ComparisonReport:
+    tasks = [(str(p), s, delta) for p in paths for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_compare_task, tasks))
@@ -320,9 +344,8 @@ def cmd_trace2d(args) -> int:
         sys.stderr.write(f"sepopt: {exc}\n")
         return EXIT_USAGE
     if instance.body.dimension != 2:
-        exc = DimensionNot2D(
-            f"trace2d needs a 2-D instance, got dimension {instance.body.dimension}")
-        sys.stderr.write(f"sepopt: {exc}\n")
+        sys.stderr.write("sepopt: trace2d needs a 2-D instance, "
+                         f"got dimension {instance.body.dimension}\n")
         return EXIT_USAGE
     mode = MODE_ALIASES[args.mode]
     delta = args.delta if args.delta is not None else instance.delta

@@ -132,47 +132,33 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
 
         iterations += 1
         answer = problem.oracle(omega)
+        member = isinstance(answer, Member)
         logger.debug("iter %d: inradius %.3e, %s", iterations, est,
-                     "member" if isinstance(answer, Member) else "cut")
+                     "member" if member else "cut")
         row = TraceRow(
             iteration=iterations,
-            center=[float(v) for v in omega],
+            center=omega,
+            query=omega if answer.query is None else answer.query,
+            oracle_answer="member" if member else "cut",
+            support_point=answer.support_point,
+            support_gap=answer.support_gap,
+            support_calls=answer.support_calls,
             inradius=est,
-            lambda_min=float(lambdas.min()) if lambdas.size else None,
+            lambda_min=lambdas.min() if lambdas.size else None,
             conic_residual=conic_residual(P, omega, lambdas),
         )
-        if answer.query is not None:
-            row.query = [float(v) for v in answer.query]
-        else:
-            row.query = row.center
-        if answer.support_point is not None:
-            row.support_point = [float(v) for v in answer.support_point]
-        row.support_gap = answer.support_gap
-        row.support_calls = answer.support_calls
-
-        if isinstance(answer, Member):
-            row.oracle_answer = "member"
-            trace.append(row)
+        trace.rows.append(row)
+        if member:
             trace.verdict = "feasible"
             return FeasibilityOutcome(True, omega, iterations, "member", trace, P)
 
-        a = np.asarray(answer.normal, dtype=float)
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-12:
-            a = a / norm
-            certified = answer.offset / norm
-        else:
-            certified = answer.offset
+        cut = Cut(answer.normal, answer.offset)
         # central (or shallow) placement, capped by the certified offset so a
         # float-dust positive center value can never cut into the target set
-        b = min(certified, float(a @ omega) + problem.cut_depth)
-        P = add_cut(P, Cut(a, b))
+        P = add_cut(P, Cut(cut.normal, min(cut.offset,
+                                           float(cut.normal @ omega) + problem.cut_depth)))
         placed = P.cuts[-1]
-        row.oracle_answer = "cut"
-        row.cut_normal = [float(v) for v in placed.normal]
-        row.cut_offset = float(placed.offset)
-        row.cut_kind = placed.kind
-        trace.append(row)
+        row.cut_normal, row.cut_offset, row.cut_kind = placed.normal, placed.offset, placed.kind
 
         try:
             omega, lambdas = analytic_center(P)

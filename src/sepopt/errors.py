@@ -63,9 +63,5 @@ class CenterOriginFailure(SepoptError):
     """The direction-search center collapsed onto the origin and retries failed."""
 
 
-class DimensionNot2D(SepoptError):
-    """A 2-D-only export was requested for a body of different dimension."""
-
-
 class InstanceFormatError(SepoptError):
     """An instance file does not follow the documented JSON schema."""

@@ -18,6 +18,7 @@ parse-then-serialize is idempotent.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +87,9 @@ def instance_to_dict(instance: Instance) -> dict:
     body = instance.body
     variant = body.variant
     if isinstance(variant, VertexPolytope):
-        body_obj = {
-            "type": "vertex_polytope",
-            "vertices": [[float(x) for x in v] for v in variant.vertices],
-        }
+        body_obj = {"type": "vertex_polytope", "vertices": variant.vertices}
     elif isinstance(variant, Ball):
-        body_obj = {
-            "type": "ball",
-            "center": [float(x) for x in variant.center],
-            "radius": float(variant.radius),
-        }
+        body_obj = {"type": "ball", "center": variant.center, "radius": float(variant.radius)}
     else:
         raise ValueError("only vertex_polytope and ball bodies have a file form")
     return {
@@ -103,7 +97,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "body": body_obj,
         "outer_radius": float(body.outer_radius),
         "inner_radius": float(body.inner_radius),
-        "query_point": [float(x) for x in instance.query_point],
+        "query_point": instance.query_point,
         "delta": float(instance.delta),
     }
 
@@ -127,13 +121,27 @@ def _require_keys(obj, allowed, where):
         raise InstanceFormatError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+def _number(obj, where):
+    """float(obj); InstanceFormatError unless that is a finite number."""
+    try:
+        x = float(obj)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where} must be a number") from exc
+    if not math.isfinite(x):
+        raise InstanceFormatError(f"{where} must be finite, got {x!r}")
+    return x
+
+
 def _vector(obj, n, where):
     if not isinstance(obj, list) or len(obj) != n:
         raise InstanceFormatError(f"{where} must be a list of {n} numbers")
     try:
-        return np.array([float(x) for x in obj])
+        v = np.array([float(x) for x in obj])
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{where} has a non-numeric entry") from exc
+    if not np.isfinite(v).all():
+        raise InstanceFormatError(f"{where} has a non-finite entry")
+    return v
 
 
 def parse_instance(obj) -> Instance:
@@ -150,12 +158,9 @@ def parse_instance(obj) -> Instance:
         raise InstanceFormatError(f"unknown body type {btype!r}")
     _require_keys(body_obj, BODY_FIELDS[btype], "body")
 
-    try:
-        outer = float(obj["outer_radius"])
-        inner = float(obj["inner_radius"])
-        delta = float(obj["delta"])
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError("radii and delta must be numbers") from exc
+    outer = _number(obj["outer_radius"], "outer_radius")
+    inner = _number(obj["inner_radius"], "inner_radius")
+    delta = _number(obj["delta"], "delta")
     if delta <= 0:
         raise InstanceFormatError("delta must be positive")
 
@@ -166,12 +171,8 @@ def parse_instance(obj) -> Instance:
         rows = [_vector(v, n, f"vertex {i}") for i, v in enumerate(verts)]
         variant = VertexPolytope(np.stack(rows))
     else:
-        center = _vector(body_obj["center"], n, "ball center")
-        try:
-            radius = float(body_obj["radius"])
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError("ball radius must be a number") from exc
-        variant = Ball(center, radius)
+        variant = Ball(_vector(body_obj["center"], n, "ball center"),
+                       _number(body_obj["radius"], "ball radius"))
 
     try:
         body = BodySpec(n, variant, outer, inner)

@@ -103,14 +103,14 @@ class _CountingSupport:
         return support(self.body, c)
 
 
-def correction_cut(c, p, k_c, depth: float = 0.0) -> Cut:
+def correction_cut(c, p, k_c) -> Cut:
     """Halfspace cut from a failed test direction.
 
     Given unit c with c.(p - k_c) <= 0 (the support point k_c dominates p in
     direction c), every still-viable separating direction m with m.c >= 0
     satisfies m.a > 0 for a = (p - k_c) minus its projection on c.  The
-    returned cut keeps {x : a.x >= depth} and its hyperplane passes through c
-    when depth is 0.  Raises DegenerateCut when p - k_c is parallel to c.
+    returned cut keeps {x : a.x >= 0}, and its hyperplane passes through c.
+    Raises DegenerateCut when p - k_c is parallel to c.
     """
     c = np.asarray(c, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -123,7 +123,7 @@ def correction_cut(c, p, k_c, depth: float = 0.0) -> Cut:
     norm = float(np.linalg.norm(a_bar))
     if norm < TOL_ZERO:
         raise DegenerateCut("p - k_c is parallel to the test direction")
-    return Cut(a_bar / norm, depth)
+    return Cut(a_bar / norm, 0.0)
 
 
 def _perturb_orthogonal(c, rng, scale=1e-8):
@@ -229,7 +229,7 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
                 return Member(query=c, support_point=res.maximizer,
                               support_gap=d, support_calls=calls)
             try:
-                cut = correction_cut(c, p, res.maximizer, depth=cfg.cut_depth)
+                cut = correction_cut(c, p, res.maximizer)
             except DegenerateCut:
                 c = _perturb_orthogonal(c, rng)
                 continue
@@ -255,7 +255,7 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
         return solve_feasibility(problem)
 
     try:
-        outcome = run(min(cfg.cut_depth, 0.0))
+        outcome = run(cfg.cut_depth)
     except CenterOriginFailure:
         # measure-zero event; retry once with a slightly shallow initial cut
         outcome = run(-1e-6)

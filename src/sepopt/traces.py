@@ -1,40 +1,40 @@
-"""Run traces and comparison-report records (plain data, JSON/CSV friendly)."""
+"""Run traces and comparison-report records.
+
+The records are plain data that hold the values the solvers computed, numpy
+arrays and scalars included; ``instances.dumps_canonical`` and the CSV
+writers below are the only places that turn them into text.
+"""
 
 import csv
-from dataclasses import asdict, dataclass, field, fields
+import statistics
+from dataclasses import asdict, astuple, dataclass, field, fields
+
+import numpy as np
 
 
-def _listify(x):
-    if x is None:
-        return None
-    return [float(v) for v in x]
-
-
-@dataclass
+@dataclass(eq=False)
 class TraceRow:
     """One engine (or heuristic) iteration.
 
     ``query`` is what the client actually asked the body oracle (the unit
     direction for the direction search, the polar point otherwise);
-    ``support_gap`` is d = c.k_c - c.p for heuristic-style rows.
+    ``support_gap`` is d = c.k_c - c.p for heuristic-style rows.  The arrays
+    are the solver's own, which it never writes to in place.
     """
 
     iteration: int
-    center: list | None = None
-    query: list | None = None
+    center: np.ndarray | None = None
+    query: np.ndarray | None = None
     oracle_answer: str = ""
-    support_point: list | None = None
+    support_point: np.ndarray | None = None
     support_gap: float | None = None
     support_calls: int = 0
-    cut_normal: list | None = None
+    cut_normal: np.ndarray | None = None
     cut_offset: float | None = None
     cut_kind: str | None = None
     inradius: float | None = None
     lambda_min: float | None = None
     conic_residual: float | None = None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -42,66 +42,48 @@ class RunTrace:
     """Ordered log of one run: centers, queries, cuts, and the verdict."""
 
     mode: str
-    rows: list = field(default_factory=list)
     verdict: str = ""
     oracle_calls: int = 0
     wall_time: float = 0.0
-
-    def append(self, row: TraceRow):
-        self.rows.append(row)
+    rows: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "oracle_calls": self.oracle_calls,
-            "wall_time": self.wall_time,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return asdict(self)
 
 
 def heuristic_trace(outcome, wall_time=0.0) -> RunTrace:
     """Convert a HeuristicOutcome into the common trace format."""
-    trace = RunTrace(mode="heuristic", wall_time=wall_time)
-    for i, (c, k, d) in enumerate(outcome.trace):
-        trace.append(TraceRow(
-            iteration=i,
-            query=_listify(c),
-            oracle_answer="separator" if d < 0 else "dominated",
-            support_point=_listify(k),
-            support_gap=float(d),
-            support_calls=1,
-        ))
-    trace.verdict = "inconclusive" if outcome.inconclusive else "separated"
-    trace.oracle_calls = sum(r.support_calls for r in trace.rows)
-    return trace
+    rows = [TraceRow(iteration=i, query=c,
+                     oracle_answer="separator" if d < 0 else "dominated",
+                     support_point=k, support_gap=d, support_calls=1)
+            for i, (c, k, d) in enumerate(outcome.trace)]
+    return RunTrace(mode="heuristic",
+                    verdict="inconclusive" if outcome.inconclusive else "separated",
+                    oracle_calls=len(rows), wall_time=wall_time, rows=rows)
 
 
-def trace_rows_2d(trace: RunTrace):
-    """Rows for the fixed-format 2-D CSV export."""
-    out = []
-    for row in trace.rows:
-        point = row.center if row.center is not None else row.query
-        out.append({
-            "iteration": row.iteration,
-            "center_x": point[0] if point else None,
-            "center_y": point[1] if point else None,
-            "cut_ax": row.cut_normal[0] if row.cut_normal else None,
-            "cut_ay": row.cut_normal[1] if row.cut_normal else None,
-            "cut_b": row.cut_offset,
-        })
-    return out
+def _write_csv(path, columns, rows):
+    """A header line, then one line per row of values in ``columns`` order.
 
-
-TRACE2D_COLUMNS = ["iteration", "center_x", "center_y", "cut_ax", "cut_ay", "cut_b"]
+    The csv module writes None as "" and any other value as str(value);
+    numpy floats become Python floats first, so every float is written as
+    Python's shortest repr whatever numpy's own formatting does.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]
+                         for row in rows)
 
 
 def write_trace2d_csv(trace: RunTrace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE2D_COLUMNS)
-        writer.writeheader()
-        for row in trace_rows_2d(trace):
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in TRACE2D_COLUMNS})
+    """CSV of a 2-D run: each row's center (the query on heuristic rows) and cut."""
+    lines = []
+    for row in trace.rows:
+        x, y = row.center if row.center is not None else row.query
+        ax, ay = (None, None) if row.cut_normal is None else row.cut_normal
+        lines.append((row.iteration, x, y, ax, ay, row.cut_offset))
+    _write_csv(path, ["iteration", "center_x", "center_y", "cut_ax", "cut_ay", "cut_b"], lines)
 
 
 @dataclass
@@ -142,10 +124,10 @@ class ComparisonReport:
             calls = [getattr(r, key) for r in ok]
             outside = [getattr(r, key) for r in ok if r.true_status == "outside"]
             agg[mode] = {
-                "mean_calls": _mean(calls),
-                "median_calls": _median(calls),
-                "mean_calls_outside": _mean(outside),
-                "median_calls_outside": _median(outside),
+                "mean_calls": statistics.fmean(calls) if calls else None,
+                "median_calls": statistics.median(calls) if calls else None,
+                "mean_calls_outside": statistics.fmean(outside) if outside else None,
+                "median_calls_outside": statistics.median(outside) if outside else None,
             }
         self.aggregates = agg
         return agg
@@ -158,23 +140,4 @@ class ComparisonReport:
         }
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-            writer.writeheader()
-            for row in self.rows:
-                d = row.to_dict()
-                writer.writerow({k: ("" if d[k] is None else d[k]) for k in REPORT_COLUMNS})
-
-
-def _mean(xs):
-    return float(sum(xs) / len(xs)) if xs else None
-
-
-def _median(xs):
-    if not xs:
-        return None
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    if len(xs) % 2:
-        return float(xs[mid])
-    return float((xs[mid - 1] + xs[mid]) / 2.0)
+        _write_csv(path, REPORT_COLUMNS, [astuple(r) for r in self.rows])

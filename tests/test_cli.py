@@ -165,6 +165,56 @@ def test_separate_bad_flag_is_usage_error(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("flags", [
+    ["--delta", "0"], ["--delta=-1e-3"], ["--delta", "nan"], ["--max-iterations", "0"],
+    ["--mode", "heuristic", "--max-iterations", "0"], ["--max-cuts", "1"],
+    ["--cut-depth=0.1"], ["--cut-depth=nan"], ["--r-min", "0"], ["--r-min", "inf"],
+    ["--seed=-1"],
+])
+def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
+    argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_compare_nonpositive_delta_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json"),
+              "--delta", "0"])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "ours", "standard"])
+@pytest.mark.parametrize("field, value", [
+    ("query_point", [float("nan"), 0.0]),
+    ("query_point", [float("inf"), 0.0]),
+    ("delta", float("nan")),
+    ("delta", float("inf")),
+    ("outer_radius", float("inf")),
+    ("vertex", [float("nan"), 1.0]),
+    ("ball center", [float("nan"), 0.0]),
+    ("ball radius", float("nan")),
+])
+def test_separate_non_finite_instance_number_is_usage_error(field, value, mode, tmp_path,
+                                                            capsys):
+    if field.startswith("ball"):
+        obj = json.loads(dump_instance(Instance(ball([0.0, 0.0], 1.0), np.array([2.0, 0.0]),
+                                                1e-3)))
+        obj["body"][field.split()[1]] = value
+    else:
+        obj = json.loads(WORKED_OUTSIDE.read_text())
+        if field == "vertex":
+            obj["body"]["vertices"][0] = value
+        else:
+            obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["separate", "--instance", str(bad), "--mode", mode]) == 64
+    assert "finite" in capsys.readouterr().err
+
+
 def test_separate_writes_trace(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     code = main(["separate", "--instance", str(WORKED_OUTSIDE), "--mode", "ours",

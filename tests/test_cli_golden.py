@@ -1,12 +1,19 @@
-"""Byte identity of ``sepopt separate`` on the instances under ``tests/data``.
+"""Byte identity of the ``sepopt`` commands' output.
 
-``tests/data/cli_golden.json`` holds, for every instance file (other than
-``engine_golden.json``) and every mode ``heuristic``/``ours``/``standard``:
-the exact stdout text of ``sepopt separate --trace F`` with the trace path
-written as ``null``, the exit code, and the sha256 of the trace file with its
-``wall_time`` value masked (the heuristic traces run to hundreds of
-kilobytes, so only their digests are stored).  Any change to a verdict, a
-separator bit, a call count or the canonical JSON writer shows here.
+``tests/data/cli_golden.json`` holds, for every instance file under
+``tests/data`` (other than ``engine_golden.json``; all of them 2-D) and every
+mode ``heuristic``/``ours``/``standard``:
+
+- the exact stdout text of ``sepopt separate --trace F`` with the trace path
+  written as ``null``, the exit code, and the sha256 of the trace file with
+  its ``wall_time`` value masked (the heuristic traces run to hundreds of
+  kilobytes, so only their digests are stored);
+- the exit code and the sha256 of the ``sepopt trace2d`` CSV;
+
+and the sha256 of the ``sepopt compare`` report JSON and CSV over the corpus
+that ``scripts/run_comparison.py``'s ``generate`` writes for dims 2 and 3,
+four instances each.  Any change to a verdict, a separator bit, a call
+count, the canonical JSON writer or the CSV writer shows here.
 
 Re-record only for a change that is meant to alter the output:
 
@@ -19,6 +26,7 @@ import hashlib
 import io
 import json
 import re
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +40,8 @@ GOLDEN = DATA / "cli_golden.json"
 INSTANCES = sorted(p.name for p in DATA.glob("*.json")
                    if p.name not in ("engine_golden.json", GOLDEN.name))
 MODES = ("heuristic", "ours", "standard")
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
+COMPARE = "compare dims 2,3 per_dim 4"
 WALL_TIME = re.compile(r'"wall_time": [^,\n]*')
 
 
@@ -45,6 +55,27 @@ def separate(instance, mode, trace):
     masked = WALL_TIME.sub('"wall_time": 0', trace.read_text(encoding="utf-8"))
     return {"stdout": stdout, "exit": code,
             "trace_sha256": hashlib.sha256(masked.encode("utf-8")).hexdigest()}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def trace2d(instance, mode, csv_path):
+    code = main(["trace2d", "--instance", str(DATA / instance), "--mode", mode,
+                 "--out", str(csv_path)])
+    return {"exit": code, "csv_sha256": sha256(csv_path)}
+
+
+def compare(tmp):
+    """Digests of the report JSON and CSV over a freshly generated corpus."""
+    corpus, out = tmp / "corpus", tmp / "report.json"
+    runpy.run_path(str(SCRIPT))["generate"](corpus, dims=[2, 3], per_dim=4,
+                                             delta=1e-3, seed_base=0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["compare", "--corpus", str(corpus), "--out", str(out), "--jobs", "1"])
+    return {"exit": code, "report_sha256": sha256(out),
+            "csv_sha256": sha256(out.with_suffix(".csv"))}
 
 
 @functools.cache
@@ -62,10 +93,24 @@ def test_separate_output_is_byte_identical_to_golden(instance, mode, tmp_path):
     assert got["trace_sha256"] == expected["trace_sha256"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_trace2d_csv_is_byte_identical_to_golden(instance, mode, tmp_path):
+    expected = golden()[f"trace2d {instance} {mode}"]
+    assert trace2d(instance, mode, tmp_path / "trace.csv") == expected
+
+
+def test_compare_report_is_byte_identical_to_golden(tmp_path):
+    assert compare(tmp_path) == golden()[COMPARE]
+
+
 def record():
     with tempfile.TemporaryDirectory() as tmp:
         runs = {f"{instance} {mode}": separate(instance, mode, Path(tmp) / "trace.json")
                 for instance in INSTANCES for mode in MODES}
+        runs.update({f"trace2d {instance} {mode}": trace2d(instance, mode, Path(tmp) / "t.csv")
+                     for instance in INSTANCES for mode in MODES})
+        runs[COMPARE] = compare(Path(tmp))
     GOLDEN.write_text(json.dumps(runs, indent=1) + "\n")
 
 
