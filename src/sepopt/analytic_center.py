@@ -340,14 +340,13 @@ def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
     else:
         kind = CENTRAL
     placed = replace(cut, kind=kind)
-    hint = (P.center.copy(), P.min_slack(P.center)) if P.center is not None else P.hint
     return OuterApprox(
         dimension=P.dimension,
         ball_radius=P.ball_radius,
         cuts=P.cuts + (placed,),
         center=None,
         conic=None,
-        hint=hint,
+        hint=P.hint,
         A=np.vstack((P.A, placed.normal)),
         b=np.append(P.b, placed.offset),
     )

@@ -2,13 +2,13 @@
 
 Subcommands:
   separate --instance F --mode {heuristic|ours|standard} [--delta X]
-           [--cut-depth B] [--max-cuts H] [--seed S] [--trace F2]
+           [--max-cuts H] [--max-iterations K] [--seed S] [--trace F2]
   compare  --corpus D --out F [--seeds 0,1] [--jobs N]
   trace2d  --instance F --mode M --out F
 
 Exit codes: 0 separated, 1 in-body, 2 inconclusive (heuristic mode only),
-64 usage/malformed input, 70 solver error.  Set SEPOPT_LOG to control the
-log level.
+64 usage, malformed input or unwritable output, 70 solver error.  Set
+SEPOPT_LOG to control the log level.
 """
 
 import argparse
@@ -95,17 +95,10 @@ def _build_parser():
                        help="solver mode ('ours' = direction search)")
         p.add_argument("--delta", type=_positive, default=None,
                        help="override the instance's accuracy parameter")
-        p.add_argument("--cut-depth", default=0.0,
-                       type=_checked(float, lambda x: -math.inf < x <= 0.0,
-                                     "a finite number <= 0"),
-                       help="cut offset relative to the center (<= 0; "
-                            "write --cut-depth=-1e-3 for negatives)")
         p.add_argument("--max-cuts", default=None,
                        type=_checked(int, lambda k: k >= 2, "an integer >= 2"))
         p.add_argument("--max-iterations", default=None,
                        type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
-        p.add_argument("--r-min", type=_positive, default=None,
-                       help="override the size floor of the feasibility runs")
         p.add_argument("--seed", default=0,
                        type=_checked(int, lambda s: s >= 0, "an integer >= 0"))
 
@@ -116,7 +109,10 @@ def _build_parser():
     cmp_ = sub.add_parser("compare", help="run both reductions over a corpus")
     cmp_.add_argument("--corpus", required=True, help="directory of instance JSON files")
     cmp_.add_argument("--out", required=True, help="report JSON path (CSV written next to it)")
-    cmp_.add_argument("--seeds", default="0", help="comma-separated seeds, one run per seed")
+    cmp_.add_argument("--seeds", default="0", help="comma-separated seeds, one run per seed",
+                      type=_checked(lambda t: [int(s) for s in t.split(",") if s.strip()],
+                                    lambda seeds: min(seeds, default=0) >= 0,
+                                    "comma-separated integers >= 0"))
     cmp_.add_argument("--jobs", type=int, default=1, help="worker processes")
     cmp_.add_argument("--delta", type=_positive, default=None)
 
@@ -128,10 +124,8 @@ def _build_parser():
 
 def _reduction_config(args) -> ReductionConfig:
     return ReductionConfig(
-        cut_depth=args.cut_depth,
         max_cuts=args.max_cuts,
         max_iterations=args.max_iterations,
-        r_min=args.r_min,
         seed=args.seed,
     )
 
@@ -177,14 +171,12 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
     return fragment, verdict.trace, code
 
 
-def _tolerances(instance: Instance, delta: float, args) -> dict:
-    n = instance.body.dimension
-    r_min = args.r_min if args.r_min is not None else default_r_min(
-        delta, instance.body.outer_radius, n)
+def _tolerances(instance: Instance, delta: float) -> dict:
+    # every cut is central, so the depth is the constant 0.0
     return {
         "delta": delta,
-        "r_min": r_min,
-        "cut_depth": args.cut_depth,
+        "r_min": default_r_min(delta, instance.body.outer_radius, instance.body.dimension),
+        "cut_depth": 0.0,
         "tol_support": TOL_SUPPORT,
         "tol_polar": TOL_POLAR,
         "tol_zero": TOL_ZERO,
@@ -218,7 +210,7 @@ def cmd_separate(args) -> int:
     result.update(fragment)
     result["delta"] = delta
     result["trace_path"] = trace_path
-    result["tolerances"] = _tolerances(instance, delta, args)
+    result["tolerances"] = _tolerances(instance, delta)
     print(dumps_canonical(result))
     return code
 
@@ -318,13 +310,8 @@ def cmd_compare(args) -> int:
     if not corpus.is_dir():
         sys.stderr.write(f"sepopt: corpus directory {corpus} not found\n")
         return EXIT_USAGE
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-    except ValueError:
-        sys.stderr.write(f"sepopt: cannot parse --seeds {args.seeds!r}\n")
-        return EXIT_USAGE
     paths = sorted(corpus.glob("*.json"))
-    report = compare_corpus(paths, seeds=seeds or [0], delta=args.delta, jobs=args.jobs)
+    report = compare_corpus(paths, seeds=args.seeds or [0], delta=args.delta, jobs=args.jobs)
 
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
@@ -361,16 +348,18 @@ def cmd_trace2d(args) -> int:
 def main(argv=None) -> int:
     level = os.environ.get("SEPOPT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "separate":
-        return cmd_separate(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    if args.command == "trace2d":
-        return cmd_trace2d(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    args = _build_parser().parse_args(argv)
+    command = {"separate": cmd_separate, "compare": cmd_compare,
+               "trace2d": cmd_trace2d}[args.command]
+    try:
+        return command(args)
+    except OSError as exc:
+        # instances are read through load_instance, which reports its own
+        # errors, so a failing file here is one of the outputs
+        if exc.filename is None:
+            raise
+        sys.stderr.write(f"sepopt: cannot write {exc.filename}: {exc.strerror}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,11 +6,9 @@ halt on membership, otherwise shrink the region with the returned cut and
 repeat until the region's inscribed radius falls under the size floor or the
 iteration budget runs out.
 
-Cuts are applied centrally by default: the kept halfspace passes through the
-queried center, offset by ``cut_depth`` (<= 0, so negative values give
-shallow cuts that keep the old center strictly inside).  The callback's own
-certified offset is only used as a safety cap; certified depth beyond the
-center is never exploited.
+Cuts are applied centrally: the kept halfspace passes through the queried
+center.  The callback's own certified offset is only used as a safety cap;
+certified depth beyond the center is never exploited.
 """
 
 import logging
@@ -68,8 +66,7 @@ class FeasibilityProblem:
     ``oracle`` maps a strictly interior point of the current region to a
     Member or CutAnswer; it must be pure (the harness may run many engines
     concurrently).  ``r_min`` is the size floor under which the region is
-    declared empty; ``cut_depth`` (<= 0) offsets every applied cut relative
-    to the queried center.  Defaults: ``max_cuts`` = max(30, 5n) and
+    declared empty.  Defaults: ``max_cuts`` = max(30, 5n) and
     ``max_iterations`` = 64 n log2(initial_radius / r_min).
     """
 
@@ -77,7 +74,6 @@ class FeasibilityProblem:
     oracle: Callable
     initial_radius: float = 1.0
     r_min: float = 1e-6
-    cut_depth: float = 0.0
     max_cuts: int | None = None
     max_iterations: int | None = None
     initial_cuts: tuple = ()
@@ -87,8 +83,6 @@ class FeasibilityProblem:
             raise ValueError("r_min must be positive")
         if self.initial_radius < self.r_min:
             raise ValueError("initial radius below the size floor")
-        if self.cut_depth > 0:
-            raise ValueError("cut_depth must be <= 0 (central or shallow)")
         if self.max_cuts is None:
             self.max_cuts = max(30, 5 * self.dimension)
         if self.max_cuts < 2:
@@ -153,10 +147,9 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             return FeasibilityOutcome(True, omega, iterations, "member", trace, P)
 
         cut = Cut(answer.normal, answer.offset)
-        # central (or shallow) placement, capped by the certified offset so a
-        # float-dust positive center value can never cut into the target set
-        P = add_cut(P, Cut(cut.normal, min(cut.offset,
-                                           float(cut.normal @ omega) + problem.cut_depth)))
+        # central placement, capped by the certified offset so a float-dust
+        # positive center value can never cut into the target set
+        P = add_cut(P, Cut(cut.normal, min(cut.offset, float(cut.normal @ omega))))
         placed = P.cuts[-1]
         row.cut_normal, row.cut_offset, row.cut_kind = placed.normal, placed.offset, placed.kind
 

@@ -37,32 +37,20 @@ MAX_DEGENERATE_RETRIES = 8
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Knobs shared by both reductions.
+    """Budgets shared by both reductions (None picks the engine's defaults).
 
-    ``cut_depth`` <= 0 selects central (0) or shallow (< 0) cuts; every
-    shallow cut leaves a slack of |cut_depth| at the old center, so the
-    region's inscribed radius cannot drop below roughly |cut_depth| and the
-    size floor only fires when |cut_depth| < r_min (otherwise in-body
-    declarations come from the iteration budget).  ``r_min`` overrides the
-    size floor, which otherwise defaults to
-    delta / (4 * outer_radius * sqrt(n)); ``seed`` drives only the
-    perturbation used to escape degenerate cuts.
+    ``seed`` drives only the perturbation used to escape degenerate cuts;
+    delta alone sets the size floor (default_r_min).
     """
 
-    cut_depth: float = 0.0
     max_cuts: int | None = None
     max_iterations: int | None = None
-    r_min: float | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if self.cut_depth > 0:
-            raise ValueError("cut_depth must be <= 0")
 
 
 def default_r_min(delta: float, outer_radius: float, n: int) -> float:
-    """Pragmatic size floor for the feasibility runs; configurable because
-    the exact floor that matches a given delta depends on the body family."""
+    """Size floor of both feasibility runs at accuracy delta: a region whose
+    inscribed-radius estimate falls under it is declared empty."""
     return delta / (4.0 * outer_radius * math.sqrt(n))
 
 
@@ -169,8 +157,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
         return SeparationVerdict(False, None, None, delta, 0, 0, "origin_interior",
                                  RunTrace(mode=mode, verdict="in_body"))
 
-    r_min = cfg.r_min if cfg.r_min is not None else default_r_min(
-        delta, body.outer_radius, body.dimension)
+    r_min = default_r_min(delta, body.outer_radius, body.dimension)
     oracle = _CountingSupport(body)
     outcome, h, v = search(body, p, r_min, oracle, cfg)
 
@@ -234,7 +221,7 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
                 c = _perturb_orthogonal(c, rng)
                 continue
             # the certified halfspace passes through the origin (offset 0);
-            # the engine re-offsets it centrally/shallowly around the center
+            # the engine re-offsets it centrally around the center
             return CutAnswer(cut.normal, offset=0.0, query=c,
                              support_point=res.maximizer, support_gap=d,
                              support_calls=calls)
@@ -247,7 +234,6 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
             oracle=adapter,
             initial_radius=1.0,
             r_min=r_min,
-            cut_depth=cfg.cut_depth,
             max_cuts=cfg.max_cuts,
             max_iterations=cfg.max_iterations,
             initial_cuts=(Cut(axis, initial_offset, protected=True),),
@@ -255,7 +241,7 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
         return solve_feasibility(problem)
 
     try:
-        outcome = run(cfg.cut_depth)
+        outcome = run(0.0)
     except CenterOriginFailure:
         # measure-zero event; retry once with a slightly shallow initial cut
         outcome = run(-1e-6)
@@ -344,7 +330,6 @@ def _polar_search(body: BodySpec, p, r_min, oracle, cfg):
         oracle=adapter,
         initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
-        cut_depth=cfg.cut_depth,
         max_cuts=cfg.max_cuts,
         max_iterations=cfg.max_iterations,
     )

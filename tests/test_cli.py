@@ -168,7 +168,7 @@ def test_separate_bad_flag_is_usage_error(capsys):
 @pytest.mark.parametrize("flags", [
     ["--delta", "0"], ["--delta=-1e-3"], ["--delta", "nan"], ["--max-iterations", "0"],
     ["--mode", "heuristic", "--max-iterations", "0"], ["--max-cuts", "1"],
-    ["--cut-depth=0.1"], ["--cut-depth=nan"], ["--r-min", "0"], ["--r-min", "inf"],
+    ["--delta", "inf"], ["--max-iterations", "1.5"], ["--max-cuts", "two"], ["--seed", "x"],
     ["--seed=-1"],
 ])
 def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
@@ -177,6 +177,46 @@ def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
         main(argv)
     assert exc.value.code == 64
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cut-depth=-1e-5"], ["--cut-depth=0"], ["--r-min", "1e-4"],
+    ["--cut-depth=0.1"], ["--cut-depth=nan"], ["--r-min", "0"], ["--r-min", "inf"],
+])
+def test_separate_removed_flag_is_usage_error(flags, capsys):
+    # delta alone sets the accuracy: cuts are central, the floor is default_r_min
+    argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=0,-2"])
+def test_compare_negative_seed_is_usage_error(seeds, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json"), seeds])
+    assert exc.value.code == 64
+    assert "error: argument --seeds" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "trace2d", "compare"])
+def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / WORKED_OUTSIDE.name).write_bytes(WORKED_OUTSIDE.read_bytes())
+    argv = {
+        "separate": ["separate", "--instance", str(WORKED_OUTSIDE), "--mode", "ours",
+                     "--trace", str(target)],
+        "trace2d": ["trace2d", "--instance", str(WORKED_OUTSIDE), "--mode", "ours",
+                    "--out", str(target)],
+        "compare": ["compare", "--corpus", str(tmp_path / "c"), "--out", str(target)],
+    }[command]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sepopt: cannot write {target}: No such file or directory\n"
 
 
 def test_compare_nonpositive_delta_is_usage_error(tmp_path):
@@ -411,15 +451,6 @@ def test_separate_ball_instance(capsys):
     assert code == 0
     assert out["separator"] == pytest.approx([0.0, 1.0], abs=1e-12)
     assert out["margin"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_separate_cut_depth_flag(capsys):
-    # scientific-notation negatives need the = form under argparse
-    code = main(["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours",
-                 "--cut-depth=-1e-5", "--trace", "/dev/null"])
-    assert code == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["tolerances"]["cut_depth"] == -1e-5
 
 
 def test_compare_multiple_seeds(small_corpus, tmp_path, capsys):

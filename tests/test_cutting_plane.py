@@ -105,35 +105,11 @@ def test_iteration_count_within_hard_cap(n, t):
     assert out.iterations <= 64 * n * math.log2(1.0 / t)
 
 
-def test_shallow_depth_keeps_previous_center_feasible():
-    seen = []
-
-    def oracle(w):
-        seen.append(np.array(w))
-        if w[0] >= 0.5:
-            return Member()
-        e1 = np.array([1.0, 0.0])
-        return CutAnswer(e1, offset=0.5)
-
-    out = solve_feasibility(
-        FeasibilityProblem(2, oracle, r_min=1e-5, cut_depth=-0.05))
-    assert out.feasible
-    # every cut was shallow: each queried center stays inside all later cuts'
-    # halfspaces offset by the depth
-    for i, row in enumerate(out.trace.rows):
-        if row.cut_normal is not None:
-            assert row.cut_kind == "shallow"
-            a = np.array(row.cut_normal)
-            assert float(a @ np.array(row.center)) - row.cut_offset >= 0.049
-
-
 def test_problem_validation():
     with pytest.raises(ValueError):
         FeasibilityProblem(2, lambda w: Member(), r_min=0.0)
     with pytest.raises(ValueError):
         FeasibilityProblem(2, lambda w: Member(), r_min=2.0, initial_radius=1.0)
-    with pytest.raises(ValueError):
-        FeasibilityProblem(2, lambda w: Member(), cut_depth=0.1)
     with pytest.raises(ValueError):
         FeasibilityProblem(2, lambda w: Member(), max_cuts=1)
 

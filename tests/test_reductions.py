@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sepopt import (
-    ReductionConfig,
     ball,
     correction_cut,
     distance_to_body,
@@ -136,15 +135,6 @@ def test_direction_search_first_query_is_p_normalized(worked_body):
     first = np.array(verdict.trace.rows[0].query)
     expected = WORKED_INSIDE_POINT / np.linalg.norm(WORKED_INSIDE_POINT)
     assert np.allclose(first, expected, atol=1e-9)
-
-
-def test_direction_search_shallow_cuts(worked_body):
-    # depth must stay below the size floor or the floor can never fire
-    cfg = ReductionConfig(cut_depth=-1e-5)
-    verdict = heuristic_reduction(worked_body, WORKED_INSIDE_POINT, 1e-3, cfg)
-    assert not verdict.separated
-    kinds = {r.cut_kind for r in verdict.trace.rows if r.cut_kind}
-    assert kinds == {"shallow"}
 
 
 # ------------------------------------------------------------- polar side
