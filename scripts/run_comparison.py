@@ -17,7 +17,6 @@ from pathlib import Path
 
 from sepopt import Instance, dump_instance, random_instance
 from sepopt.cli import compare_corpus
-from sepopt.instances import dumps_canonical
 
 
 def generate(corpus: Path, dims, per_dim, delta, seed_base):
@@ -29,6 +28,11 @@ def generate(corpus: Path, dims, per_dim, delta, seed_base):
             seed = seed_base + 1000 * n + i
             body, p = random_instance(n, n + 4, seed, place=place, margin=margin)
             dump_instance(Instance(body, p, delta), corpus / f"n{n}_{place}_s{seed}.json")
+
+
+def cell(value, width, digits):
+    """``value`` with ``digits`` decimals right-aligned in ``width``; n/a when missing."""
+    return f"{'n/a' if value is None else f'{value:.{digits}f}':>{width}}"
 
 
 def main():
@@ -52,10 +56,10 @@ def main():
         print(f"generated corpus in {corpus}")
 
     paths = sorted(corpus.glob("*.json"))
-    report = compare_corpus(paths, jobs=args.jobs)
     out = Path(args.out)
-    out.write_text(dumps_canonical(report.to_dict(), indent=2) + "\n")
-    report.write_csv(out.with_suffix(".csv"))
+    with open(out, "w", encoding="utf-8") as fh:
+        report = compare_corpus(paths, jobs=args.jobs)
+        report.write(fh)
 
     agg = report.aggregates
     print(f"instances: {agg['instances']}  failed: {agg['failed']}  "
@@ -64,8 +68,9 @@ def main():
     print(header)
     for mode in ("heuristic_reduction", "standard_reduction"):
         stats = agg[mode]
-        print(f"{mode:24s} {stats['mean_calls']:8.2f} {stats['median_calls']:8.1f} "
-              f"{stats['mean_calls_outside']:10.2f} {stats['median_calls_outside']:12.1f}")
+        print(f"{mode:24s} {cell(stats['mean_calls'], 8, 2)} {cell(stats['median_calls'], 8, 1)} "
+              f"{cell(stats['mean_calls_outside'], 10, 2)} "
+              f"{cell(stats['median_calls_outside'], 12, 1)}")
     print(f"report written to {out} (+ {out.with_suffix('.csv').name})")
 
 

@@ -81,8 +81,8 @@ class OuterApprox:
     row by row; they are built from ``cuts`` when not given, and add_cut and
     drop_least_binding carry them over row by row instead of restacking.
     ``center`` and ``conic`` are set by analytic_center() and invalidated by
-    add_cut(); ``hint`` keeps the previous center (and its minimum slack) as
-    a warm-start seed for the recovery step after a central cut.
+    add_cut(); the start of the centring after a cut is the caller's, passed
+    as analytic_center's warm start.
     """
 
     dimension: int
@@ -90,7 +90,6 @@ class OuterApprox:
     cuts: tuple = ()
     center: np.ndarray | None = None
     conic: np.ndarray | None = None
-    hint: tuple | None = field(default=None, repr=False)
     A: np.ndarray | None = field(default=None, repr=False)
     b: np.ndarray | None = field(default=None, repr=False)
 
@@ -132,30 +131,25 @@ def barrier_value(P: OuterApprox, x, slacks=None) -> float:
         slacks = P.cut_slacks(x)
     if slacks.size and slacks.min() <= 0.0:
         raise NotInterior("point violates a cut", index=int(np.argmin(slacks)))
-    return float(-np.sum(np.log(slacks)) - np.log(q)) if slacks.size else float(-np.log(q))
+    return float(-np.sum(np.log(slacks)) - np.log(q))
 
 
 def barrier_gradient(P: OuterApprox, x, slacks=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     q = P.ball_radius**2 - float(x @ x)
-    g = (2.0 / q) * x
-    if P.cuts:
-        if slacks is None:
-            slacks = P.cut_slacks(x)
-        g = g - P.A.T @ (1.0 / slacks)
-    return g
+    if slacks is None:
+        slacks = P.cut_slacks(x)
+    return (2.0 / q) * x - P.A.T @ (1.0 / slacks)
 
 
 def barrier_hessian(P: OuterApprox, x, slacks=None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = P.dimension
     q = P.ball_radius**2 - float(x @ x)
+    if slacks is None:
+        slacks = P.cut_slacks(x)
     H = (2.0 / q) * np.eye(n) + (4.0 / q**2) * np.outer(x, x)
-    if P.cuts:
-        if slacks is None:
-            slacks = P.cut_slacks(x)
-        H = H + (P.A / slacks[:, None]**2).T @ P.A
-    return H
+    return H + (P.A / slacks[:, None]**2).T @ P.A
 
 
 def conic_residual(P: OuterApprox, omega, lambdas) -> float:
@@ -166,21 +160,14 @@ def conic_residual(P: OuterApprox, omega, lambdas) -> float:
 def _recover_interior(P: OuterApprox, start=None):
     """Find a strictly interior point, or raise EmptyInterior.
 
-    Preference order: the caller's start, then the stored hint stepped into
-    the newest cut's halfspace by half the hint's old slack (a central cut
-    leaves the old center exactly on the new boundary, and that step keeps
-    every old constraint slack positive), then a subgradient phase-1 that
-    maximizes the minimum slack with damped steps.
+    Preference order: the caller's start, then the origin, then a
+    subgradient phase-1 that maximizes the minimum slack with damped steps.
+    The cutting-plane loop passes a start after every cut, so phase-1 runs
+    only for a first region whose origin is not strictly interior.
     """
     margin = 1e-12 * P.ball_radius
     if start is not None and P.is_interior(start, margin):
         return np.asarray(start, dtype=float).copy()
-    if P.hint is not None and P.cuts:
-        old_center, old_slack = P.hint
-        step = 0.5 * old_slack
-        candidate = old_center + step * P.cuts[-1].normal
-        if P.is_interior(candidate, margin):
-            return candidate
     zero = np.zeros(P.dimension)
     if P.is_interior(zero, margin):
         return zero
@@ -190,8 +177,6 @@ def _recover_interior(P: OuterApprox, start=None):
 def _phase1(P: OuterApprox, iterations=600):
     """Maximize the minimum slack by subgradient ascent with damped steps."""
     x = np.zeros(P.dimension)
-    if P.hint is not None:
-        x = P.hint[0].copy()
     best = x.copy()
     best_phi = P.min_slack(x)
     for k in range(iterations):
@@ -257,7 +242,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
         raise NotInterior("warm start is not strictly interior")
     x = _recover_interior(P, warm_start)
     # the slacks of the current iterate, computed once and shared by the
-    # gradient, Hessian, line search, certificate and hint
+    # gradient, Hessian, line search and certificate
     s = P.cut_slacks(x)
 
     for it in range(MAX_NEWTON_ITERS):
@@ -319,7 +304,6 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     lambdas = q / (2.0 * s)   # q and s belong to the final x
     P.center = x
     P.conic = lambdas
-    P.hint = (x.copy(), P.min_slack(x, s))
     return x, lambdas
 
 
@@ -344,9 +328,6 @@ def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
         dimension=P.dimension,
         ball_radius=P.ball_radius,
         cuts=P.cuts + (placed,),
-        center=None,
-        conic=None,
-        hint=P.hint,
         A=np.vstack((P.A, placed.normal)),
         b=np.append(P.b, placed.offset),
     )
@@ -381,7 +362,6 @@ def drop_least_binding(P: OuterApprox, max_cuts: int) -> OuterApprox:
             dimension=region.dimension,
             ball_radius=region.ball_radius,
             cuts=region.cuts[:victim] + region.cuts[victim + 1:],
-            hint=(omega.copy(), region.min_slack(omega)),
             A=np.delete(region.A, victim, axis=0),
             b=np.delete(region.b, victim),
         )

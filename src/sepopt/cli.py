@@ -113,7 +113,8 @@ def _build_parser():
                       type=_checked(lambda t: [int(s) for s in t.split(",") if s.strip()],
                                     lambda seeds: min(seeds, default=0) >= 0,
                                     "comma-separated integers >= 0"))
-    cmp_.add_argument("--jobs", type=int, default=1, help="worker processes")
+    cmp_.add_argument("--jobs", default=1, help="worker processes",
+                      type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
     cmp_.add_argument("--delta", type=_positive, default=None)
 
     t2d = sub.add_parser("trace2d", help="export a 2-D run trace as CSV")
@@ -184,14 +185,15 @@ def _tolerances(instance: Instance, delta: float) -> dict:
     }
 
 
-def cmd_separate(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except InstanceFormatError as exc:
-        sys.stderr.write(f"sepopt: {exc}\n")
-        return EXIT_USAGE
-    mode = MODE_ALIASES[args.mode]
+def _load_run(args):
+    """The instance, canonical mode name and delta of a separate or trace2d run."""
+    instance = load_instance(args.instance)
     delta = args.delta if args.delta is not None else instance.delta
+    return instance, MODE_ALIASES[args.mode], delta
+
+
+def cmd_separate(args) -> int:
+    instance, mode, delta = _load_run(args)
     try:
         fragment, trace, code = _run_mode(instance, mode, delta, args)
     except SepoptError as exc:
@@ -311,12 +313,12 @@ def cmd_compare(args) -> int:
         sys.stderr.write(f"sepopt: corpus directory {corpus} not found\n")
         return EXIT_USAGE
     paths = sorted(corpus.glob("*.json"))
-    report = compare_corpus(paths, seeds=args.seeds or [0], delta=args.delta, jobs=args.jobs)
-
     out = Path(args.out)
+    # opened first, so an unwritable path is refused before any row runs
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(report.to_dict(), indent=2) + "\n")
-    report.write_csv(out.with_suffix(".csv"))
+        report = compare_corpus(paths, seeds=args.seeds or [0], delta=args.delta,
+                                jobs=args.jobs)
+        report.write(fh)
     agg = report.aggregates
     print(dumps_canonical({"written": str(out), "instances": agg["instances"],
                            "failed": agg["failed"],
@@ -325,17 +327,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trace2d(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except InstanceFormatError as exc:
-        sys.stderr.write(f"sepopt: {exc}\n")
-        return EXIT_USAGE
+    instance, mode, delta = _load_run(args)
     if instance.body.dimension != 2:
         sys.stderr.write("sepopt: trace2d needs a 2-D instance, "
                          f"got dimension {instance.body.dimension}\n")
         return EXIT_USAGE
-    mode = MODE_ALIASES[args.mode]
-    delta = args.delta if args.delta is not None else instance.delta
     try:
         _, trace, _ = _run_mode(instance, mode, delta, args)
     except SepoptError as exc:
@@ -353,6 +349,9 @@ def main(argv=None) -> int:
                "trace2d": cmd_trace2d}[args.command]
     try:
         return command(args)
+    except InstanceFormatError as exc:
+        sys.stderr.write(f"sepopt: {exc}\n")
+        return EXIT_USAGE
     except OSError as exc:
         # instances are read through load_instance, which reports its own
         # errors, so a failing file here is one of the outputs

@@ -8,7 +8,9 @@ iteration budget runs out.
 
 Cuts are applied centrally: the kept halfspace passes through the queried
 center.  The callback's own certified offset is only used as a safety cap;
-certified depth beyond the center is never exploited.
+certified depth beyond the center is never exploited.  The next centring
+starts from the old center stepped into the new cut's halfspace by half its
+minimum slack, which keeps every slack positive.
 """
 
 import logging
@@ -154,7 +156,8 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
         row.cut_normal, row.cut_offset, row.cut_kind = placed.normal, placed.offset, placed.kind
 
         try:
-            omega, lambdas = analytic_center(P)
+            # each placed offset is <= normal.omega, so every slack here is >= est/2
+            omega, lambdas = analytic_center(P, warm_start=omega + (0.5 * est) * placed.normal)
             if len(P.cuts) > problem.max_cuts:
                 P = drop_least_binding(P, problem.max_cuts)
                 omega, lambdas = P.center, P.conic

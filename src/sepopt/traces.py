@@ -8,8 +8,11 @@ writers below are the only places that turn them into text.
 import csv
 import statistics
 from dataclasses import asdict, astuple, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
+
+from .instances import dumps_canonical
 
 
 @dataclass(eq=False)
@@ -141,3 +144,8 @@ class ComparisonReport:
 
     def write_csv(self, path):
         _write_csv(path, REPORT_COLUMNS, [astuple(r) for r in self.rows])
+
+    def write(self, fh):
+        """The report JSON to the open text file ``fh``, the row CSV next to it."""
+        fh.write(dumps_canonical(self.to_dict(), indent=2) + "\n")
+        self.write_csv(Path(fh.name).with_suffix(".csv"))

@@ -192,17 +192,19 @@ def test_separate_removed_flag_is_usage_error(flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=0,-2"])
+@pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=0,-2", "--jobs=0", "--jobs=-5"])
 def test_compare_negative_seed_is_usage_error(seeds, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json"), seeds])
     assert exc.value.code == 64
-    assert "error: argument --seeds" in capsys.readouterr().err
+    assert f"error: argument {seeds.split('=')[0]}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", ["separate", "trace2d", "compare"])
-def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
+def test_unwritable_output_is_usage_error(command, tmp_path, capsys, monkeypatch):
+    rows_run = []
+    monkeypatch.setattr(sepopt.cli, "compare_one", lambda *task: rows_run.append(task))
     target = tmp_path / "missing" / "out.json"
     (tmp_path / "c").mkdir()
     (tmp_path / "c" / WORKED_OUTSIDE.name).write_bytes(WORKED_OUTSIDE.read_bytes())
@@ -217,6 +219,7 @@ def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sepopt: cannot write {target}: No such file or directory\n"
+    assert rows_run == []
 
 
 def test_compare_nonpositive_delta_is_usage_error(tmp_path):

@@ -18,6 +18,7 @@ change that is meant to alter the arithmetic:
 """
 
 import functools
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -143,6 +144,31 @@ def test_route_is_bitwise_identical_to_golden(run_id, route):
     assert len(got["centers"]) == len(expected["centers"])
     for i, (a, b) in enumerate(zip(got["centers"], expected["centers"])):
         assert a == b, f"trace centre {i} differs"
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("run_id", RUN_IDS)
+def test_phase1_runs_only_for_the_direction_search_initial_region(run_id, route,
+                                                                  monkeypatch):
+    # every in-loop centring starts from the old centre stepped into the new
+    # cut, so phase-1 is left only to a first region whose origin is not
+    # interior: the direction search's {x : (p/|p|).x >= 0}
+    module = importlib.import_module("sepopt.analytic_center")
+    original = module._phase1
+    regions = []
+
+    def counted(P, *args, **kwargs):
+        regions.append((len(P.cuts), P.center))
+        return original(P, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_phase1", counted)
+    run = golden()[run_id]
+    outcome(route, build_body(run), floats(run["p"]))
+    if route == "standard":
+        assert regions == []
+    else:
+        assert len(regions) <= 1
+        assert all(cuts == 1 and center is None for cuts, center in regions)
 
 
 if __name__ == "__main__":

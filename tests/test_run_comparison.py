@@ -30,3 +30,18 @@ def test_generated_corpus_runs_through_the_comparison(tmp_path, monkeypatch, cap
     assert report["aggregates"]["failed"] == 0
     assert out.with_suffix(".csv").exists()
     assert "instances: 4  failed: 0" in capsys.readouterr().out
+
+
+def test_empty_corpus_prints_missing_statistics_as_na(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--corpus", str(corpus),
+                                      "--jobs", "1", "--out", str(out)])
+    script.main()
+    assert json.loads(out.read_text())["rows"] == []
+    assert out.with_suffix(".csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "instances: 0  failed: 0  disagreements: 0"
+    assert lines[2].split() == ["heuristic_reduction", "n/a", "n/a", "n/a", "n/a"]
