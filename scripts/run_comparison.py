@@ -16,7 +16,9 @@ import tempfile
 from pathlib import Path
 
 from sepopt import Instance, dump_instance, random_instance
-from sepopt.cli import compare_corpus
+from sepopt.cli import _checked, _positive, compare_corpus
+
+_at_least_one = _checked(int, lambda k: k >= 1, "an integer >= 1")
 
 
 def generate(corpus: Path, dims, per_dim, delta, seed_base):
@@ -39,11 +41,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus", default=None,
                         help="existing corpus directory (otherwise generated)")
-    parser.add_argument("--dims", default="2,3,4,5")
-    parser.add_argument("--per-dim", type=int, default=20)
-    parser.add_argument("--delta", type=float, default=1e-3)
-    parser.add_argument("--seed-base", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--dims", default="2,3,4,5",
+                        type=_checked(lambda t: [int(d) for d in t.split(",")],
+                                      lambda dims: min(dims) >= 2,
+                                      "comma-separated integers >= 2"))
+    parser.add_argument("--per-dim", type=_at_least_one, default=20)
+    parser.add_argument("--delta", type=_positive, default=1e-3)
+    parser.add_argument("--seed-base", default=0,
+                        type=_checked(int, lambda s: s >= 0, "an integer >= 0"))
+    parser.add_argument("--jobs", type=_at_least_one, default=2)
     parser.add_argument("--out", default="comparison_report.json")
     args = parser.parse_args()
 
@@ -51,8 +57,7 @@ def main():
         corpus = Path(args.corpus)
     else:
         corpus = Path(tempfile.mkdtemp(prefix="sepopt_corpus_"))
-        dims = [int(d) for d in args.dims.split(",")]
-        generate(corpus, dims, args.per_dim, args.delta, args.seed_base)
+        generate(corpus, args.dims, args.per_dim, args.delta, args.seed_base)
         print(f"generated corpus in {corpus}")
 
     paths = sorted(corpus.glob("*.json"))

@@ -17,7 +17,7 @@ is recomputed and exposed after every center computation.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -33,31 +33,21 @@ CONIC_RESIDUAL_SCALE = 1e-7   # certificate: |omega - sum lambda_i a_i| <= scale
 PURE_PHASE = 0.25        # decrement below which full Newton steps are safe
 ARMIJO = 0.01
 MAX_NEWTON_ITERS = 200
-KIND_TOL = 1e-12
 
 # the double-precision Cholesky factor and solve behind scipy's cho_factor and
 # cho_solve, called directly to skip their per-call wrapping
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
-
-DEEP = "deep"
-CENTRAL = "central"
-SHALLOW = "shallow"
 
 
 @dataclass(frozen=True, eq=False)
 class Cut:
     """Halfspace {x : normal.x >= offset} with a unit normal.
 
-    ``kind`` is assigned when the cut is placed into a region, by comparing
-    the offset with normal.center of the pre-cut region: offset above the
-    center value excludes the center (deep), equal passes through it
-    (central), below keeps it strictly inside (shallow).  ``protected`` cuts
-    are never removed by drop_least_binding.
+    ``protected`` cuts are never removed by drop_least_binding.
     """
 
     normal: np.ndarray
     offset: float
-    kind: str | None = None
     protected: bool = False
 
     def __post_init__(self):
@@ -157,23 +147,6 @@ def conic_residual(P: OuterApprox, omega, lambdas) -> float:
     return float(np.linalg.norm(omega - lambdas @ P.A))
 
 
-def _recover_interior(P: OuterApprox, start=None):
-    """Find a strictly interior point, or raise EmptyInterior.
-
-    Preference order: the caller's start, then the origin, then a
-    subgradient phase-1 that maximizes the minimum slack with damped steps.
-    The cutting-plane loop passes a start after every cut, so phase-1 runs
-    only for a first region whose origin is not strictly interior.
-    """
-    margin = 1e-12 * P.ball_radius
-    if start is not None and P.is_interior(start, margin):
-        return np.asarray(start, dtype=float).copy()
-    zero = np.zeros(P.dimension)
-    if P.is_interior(zero, margin):
-        return zero
-    return _phase1(P)
-
-
 def _phase1(P: OuterApprox, iterations=600):
     """Maximize the minimum slack by subgradient ascent with damped steps."""
     x = np.zeros(P.dimension)
@@ -236,14 +209,25 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     the conic-reconstruction residual meets its 1e-7 * (1 + |omega|) bound.
     The result is cached on P.  Determinism: same region and warm start give
     bitwise-identical centers.  ``record_iterates`` (a list, if given)
-    receives a copy of every Newton iterate, for diagnostics.
+    receives a copy of every Newton iterate, for diagnostics.  Newton starts
+    at the warm start (NotInterior unless strictly interior), else the
+    origin, whichever first has every slack above 1e-12 * ball_radius, else
+    at a phase-1 point (EmptyInterior when none is found).
     """
-    if warm_start is not None and not P.is_interior(np.asarray(warm_start, dtype=float)):
-        raise NotInterior("warm start is not strictly interior")
-    x = _recover_interior(P, warm_start)
-    # the slacks of the current iterate, computed once and shared by the
-    # gradient, Hessian, line search and certificate
-    s = P.cut_slacks(x)
+    # the slacks of the current iterate, computed once per point and shared
+    # by the interior tests, gradient, Hessian, line search and certificate
+    margin = 1e-12 * P.ball_radius
+    if warm_start is not None:
+        x = np.array(warm_start, dtype=float)
+        s = P.cut_slacks(x)
+        if not P.is_interior(x, slacks=s):
+            raise NotInterior("warm start is not strictly interior")
+    if warm_start is None or not P.is_interior(x, margin, s):
+        x = np.zeros(P.dimension)
+        s = P.cut_slacks(x)
+        if not P.is_interior(x, margin, s):
+            x = _phase1(P)
+            s = P.cut_slacks(x)
 
     for it in range(MAX_NEWTON_ITERS):
         if record_iterates is not None:
@@ -308,28 +292,15 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
 
 
 def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
-    """Append a cut; returns a new region with the center caches invalidated.
-
-    The cut's kind is classified against the pre-cut center (the exact ball
-    center when no center has been computed yet): offsets above the center
-    value cut it away (deep), equal offsets pass through it (central), lower
-    offsets leave it interior (shallow).
-    """
-    reference = P.center if P.center is not None else np.zeros(P.dimension)
-    value = float(cut.normal @ reference)
-    if cut.offset > value + KIND_TOL:
-        kind = DEEP
-    elif cut.offset < value - KIND_TOL:
-        kind = SHALLOW
-    else:
-        kind = CENTRAL
-    placed = replace(cut, kind=kind)
+    """Append a cut as given; returns a new region with the center caches
+    invalidated.  Where the cut sits relative to the old center is the
+    caller's choice (the cutting-plane loop places every cut centrally)."""
     return OuterApprox(
         dimension=P.dimension,
         ball_radius=P.ball_radius,
-        cuts=P.cuts + (placed,),
-        A=np.vstack((P.A, placed.normal)),
-        b=np.append(P.b, placed.offset),
+        cuts=P.cuts + (cut,),
+        A=np.vstack((P.A, cut.normal)),
+        b=np.append(P.b, cut.offset),
     )
 
 

@@ -6,11 +6,12 @@ halt on membership, otherwise shrink the region with the returned cut and
 repeat until the region's inscribed radius falls under the size floor or the
 iteration budget runs out.
 
-Cuts are applied centrally: the kept halfspace passes through the queried
-center.  The callback's own certified offset is only used as a safety cap;
-certified depth beyond the center is never exploited.  The next centring
-starts from the old center stepped into the new cut's halfspace by half its
-minimum slack, which keeps every slack positive.
+Oracles answer with a Member or a CutAnswer {x : normal.x >= offset}.  Cuts
+are applied centrally: the kept halfspace passes through the queried center,
+capped by the certified offset (the trace names the cut shallow when that
+cap binds, central otherwise).  The next centring starts from the old center
+stepped into the new cut's halfspace by half its minimum slack, which keeps
+every slack positive.
 """
 
 import logging
@@ -34,16 +35,20 @@ from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
 
+KIND_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Member:
     """Oracle assertion that the queried point belongs to the target set.
 
     ``query``, ``support_point`` and ``support_calls`` let adapters report
-    what they actually asked the underlying body oracle, for the trace.
+    what they actually asked the underlying body oracle, for the trace;
+    ``value`` is the support value at ``query`` when one was queried.
     """
 
     query: np.ndarray | None = None
+    value: float | None = None
     support_point: np.ndarray | None = None
     support_gap: float | None = None
     support_calls: int = 0
@@ -105,6 +110,7 @@ class FeasibilityOutcome:
     reason: str  # "member" | "size_floor" | "iteration_budget" | "empty_interior"
     trace: RunTrace
     region: OuterApprox | None = None
+    answer: Member | None = None  # the oracle's final answer on a member
 
 
 def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
@@ -146,14 +152,16 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
         trace.rows.append(row)
         if member:
             trace.verdict = "feasible"
-            return FeasibilityOutcome(True, omega, iterations, "member", trace, P)
+            return FeasibilityOutcome(True, omega, iterations, "member", trace, P, answer)
 
         cut = Cut(answer.normal, answer.offset)
         # central placement, capped by the certified offset so a float-dust
         # positive center value can never cut into the target set
-        P = add_cut(P, Cut(cut.normal, min(cut.offset, float(cut.normal @ omega))))
+        value = float(cut.normal @ omega)
+        P = add_cut(P, Cut(cut.normal, min(cut.offset, value)))
         placed = P.cuts[-1]
-        row.cut_normal, row.cut_offset, row.cut_kind = placed.normal, placed.offset, placed.kind
+        row.cut_normal, row.cut_offset = placed.normal, placed.offset
+        row.cut_kind = "shallow" if cut.offset < value - KIND_TOL else "central"
 
         try:
             # each placed offset is <= normal.omega, so every slack here is >= est/2

@@ -14,6 +14,10 @@ The standard route runs feasibility over the polar slice
 {c : c.x <= 1 on the body} intersected with {c : p.c >= 1}: any point of that
 set gives a separating plane {x : c.x = 1}, and one support query per probe
 serves as its separation oracle.
+
+Both oracles answer in the engine's own types (Member or CutAnswer), and
+the final Member carries the verdict's functional (its query) and support
+value, which the shared verdict frame reads off the outcome.
 """
 
 import logging
@@ -147,9 +151,10 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     Declares the origin inside, fixes the size floor, counts the support
     queries and stamps the trace.  ``search(body, p, r_min, oracle, cfg)``
-    runs the route's feasibility problem and returns (outcome, h, v): on a
-    member, h is the separating functional and v its support value, so the
-    verdict is h in max-norm with margin (h.p - v) / max|h|.
+    runs the route's feasibility problem and returns its outcome.  On a
+    member, the final answer's query h is the separating functional and its
+    value v the support value, so the verdict is h in max-norm with margin
+    (h.p - v) / max|h|.
     """
     start_time = time.perf_counter()
     p = np.asarray(p, dtype=float)
@@ -159,7 +164,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
     oracle = _CountingSupport(body)
-    outcome, h, v = search(body, p, r_min, oracle, cfg)
+    outcome = search(body, p, r_min, oracle, cfg)
 
     trace = outcome.trace
     trace.mode = mode
@@ -168,6 +173,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
                 "separated" if outcome.feasible else "in-body", oracle.count)
     separator = margin = None
     if outcome.feasible:
+        h, v = outcome.answer.query, outcome.answer.value
         linf = float(np.abs(h).max())
         separator = h / linf
         margin = (float(h @ p) - v) / linf
@@ -198,7 +204,6 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
 def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
     axis = p / float(np.linalg.norm(p))
     rng = np.random.default_rng(cfg.seed)
-    hit = {}
 
     def adapter(omega):
         onorm = float(np.linalg.norm(omega))
@@ -211,9 +216,7 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
             calls += 1
             d = float(c @ res.maximizer - c @ p)
             if d < 0.0:
-                hit["direction"] = c
-                hit["value"] = res.value
-                return Member(query=c, support_point=res.maximizer,
+                return Member(query=c, value=res.value, support_point=res.maximizer,
                               support_gap=d, support_calls=calls)
             try:
                 cut = correction_cut(c, p, res.maximizer)
@@ -246,46 +249,30 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
         # measure-zero event; retry once with a slightly shallow initial cut
         outcome = run(-1e-6)
     _verify_conic_rows(outcome.trace)
-    return outcome, hit.get("direction"), hit.get("value")
+    return outcome
 
 
-@dataclass(frozen=True, eq=False)
-class PolarReply:
-    """Answer of the polar-side separation routines.
-
-    On a cut, ``functional`` is the unit separating functional g with the
-    target set inside {x : g.x <= level}; ``support_point`` is the raw
-    support maximizer when one was queried, and ``support_value`` its value.
-    """
-
-    member: bool
-    functional: np.ndarray | None = None
-    level: float = 0.0
-    support_point: np.ndarray | None = None
-    support_value: float | None = None
-
-
-def separate_polar(body: BodySpec, y, support_fn=None) -> PolarReply:
+def separate_polar(body: BodySpec, y, support_fn=None) -> Member | CutAnswer:
     """Separation oracle for the polar set {c : c.x <= 1 on the body}.
 
     One support query: y is a member iff the support value b = y.k is at most
-    1 (+ tolerance); otherwise the maximizer k itself separates, because
-    k.y = b > 1 while k.q <= 1 for every polar point q.
+    1 (+ tolerance), and the Member carries y and b; otherwise the maximizer
+    k itself separates, because k.y = b > 1 while k.q <= 1 for every polar
+    point q, so the CutAnswer keeps {c : -k.c >= -1} in unit-normal form.
     """
     support_fn = support_fn or (lambda d: support(body, d))
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) < TOL_ZERO:
-        return PolarReply(True, support_value=0.0)
+        return Member(query=y, value=0.0)
     res = support_fn(y)
     if res.value <= 1.0 + TOL_POLAR:
-        return PolarReply(True, support_value=res.value)
+        return Member(query=y, value=res.value, support_calls=1)
     k = res.maximizer
     knorm = float(np.linalg.norm(k))
-    return PolarReply(False, functional=k / knorm, level=1.0 / knorm,
-                      support_point=k, support_value=res.value)
+    return CutAnswer(-k / knorm, offset=-1.0 / knorm, support_point=k, support_calls=1)
 
 
-def separate_polar_slice(body: BodySpec, p, y, support_fn=None) -> PolarReply:
+def separate_polar_slice(body: BodySpec, p, y, support_fn=None) -> Member | CutAnswer:
     """Separation oracle for the polar intersected with {c : p.c >= 1}.
 
     Points with p.y < 1 are cut off by the slice constraint itself (no
@@ -295,7 +282,7 @@ def separate_polar_slice(body: BodySpec, p, y, support_fn=None) -> PolarReply:
     y = np.asarray(y, dtype=float)
     if float(p @ y) < 1.0:
         pnorm = float(np.linalg.norm(p))
-        return PolarReply(False, functional=-p / pnorm, level=-1.0 / pnorm)
+        return CutAnswer(p / pnorm, offset=1.0 / pnorm)
     return separate_polar(body, y, support_fn)
 
 
@@ -313,25 +300,11 @@ def standard_reduction(body: BodySpec, p, delta: float,
 
 
 def _polar_search(body: BodySpec, p, r_min, oracle, cfg):
-    hit = {}
-
-    def adapter(y):
-        before = oracle.count
-        reply = separate_polar_slice(body, p, y, support_fn=oracle)
-        calls = oracle.count - before
-        if reply.member:
-            hit["value"] = reply.support_value
-            return Member(support_calls=calls)
-        return CutAnswer(-reply.functional, offset=-reply.level,
-                         support_point=reply.support_point, support_calls=calls)
-
-    problem = FeasibilityProblem(
+    return solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
-        oracle=adapter,
+        oracle=lambda y: separate_polar_slice(body, p, y, oracle),
         initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
         max_cuts=cfg.max_cuts,
         max_iterations=cfg.max_iterations,
-    )
-    outcome = solve_feasibility(problem)
-    return outcome, outcome.point, hit.get("value")
+    ))

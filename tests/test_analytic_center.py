@@ -15,7 +15,7 @@ from sepopt import (
     drop_least_binding,
     inscribed_radius_estimate,
 )
-from sepopt.analytic_center import CENTRAL, DEEP, SHALLOW, conic_residual
+from sepopt.analytic_center import conic_residual
 from sepopt.errors import CannotDrop, EmptyInterior, NoConvergence, NotInterior
 
 SQRT3 = np.sqrt(3.0)
@@ -146,6 +146,23 @@ def test_warm_start_must_be_interior():
         analytic_center(P, warm_start=np.array([-0.5, 0.0]))
 
 
+def test_warm_start_slacks_are_computed_once(monkeypatch):
+    P = add_cut(OuterApprox(2), halfspace(1, 0, 0))
+    warm = np.array([0.3, 0.1])
+    seen = []
+    cut_slacks = ENGINE.OuterApprox.cut_slacks
+
+    def counting(self, x):
+        seen.append(np.array(x, copy=True))
+        return cut_slacks(self, x)
+
+    monkeypatch.setattr(ENGINE.OuterApprox, "cut_slacks", counting)
+    omega, _ = analytic_center(P, warm_start=warm)
+    assert omega == pytest.approx([1 / SQRT3, 0.0], abs=1e-6)
+    # the interior test, the 1e-12 * R margin test and Newton share one evaluation
+    assert sum(np.array_equal(x, warm) for x in seen) == 1
+
+
 # ---------------------------------------------------------------- add_cut
 
 def test_add_cut_appends_and_invalidates():
@@ -172,18 +189,6 @@ def test_add_cut_inconsistent_cuts_detected_by_center():
     P = add_cut(P, halfspace(-1, 0, 0.5))
     with pytest.raises(EmptyInterior):
         analytic_center(P)
-
-
-def test_cut_kind_classification_mirrored_for_ge_constraints():
-    P = add_cut(OuterApprox(2), halfspace(1, 0, 0))
-    analytic_center(P)  # center (1/sqrt3, 0)
-    t = 1 / SQRT3
-    assert add_cut(P, halfspace(1, 0, t + 0.1)).cuts[-1].kind == DEEP
-    assert add_cut(P, halfspace(1, 0, t)).cuts[-1].kind == CENTRAL
-    assert add_cut(P, halfspace(1, 0, t - 0.1)).cuts[-1].kind == SHALLOW
-    # with no computed center the exact ball center (origin) is the reference
-    assert add_cut(OuterApprox(2), halfspace(1, 0, 0)).cuts[-1].kind == CENTRAL
-    assert add_cut(OuterApprox(2), halfspace(1, 0, -0.1)).cuts[-1].kind == SHALLOW
 
 
 # ---------------------------------------------------------------- dropping

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepopt import (
+    Member,
     affine_image,
     ball,
     distance_to_body,
@@ -172,18 +173,18 @@ def test_distance_triangle_consistency(worked_body):
 
 def test_polar_membership_boundary_point(worked_body):
     res = separate_polar(worked_body, np.array([3.0, 1.0]))
-    assert res.member  # support value is exactly 1
+    assert isinstance(res, Member)  # support value is exactly 1
 
 
 def test_polar_membership_outside_with_separator(worked_body):
     res = separate_polar(worked_body, np.array([0.0, 2.0]))
-    assert not res.member
+    assert not isinstance(res, Member)
     assert np.array_equal(res.support_point, [0.0, 1.0])
     assert float(res.support_point @ np.array([0.0, 2.0])) > 1.0
 
 
 def test_polar_membership_zero_vector(worked_body):
-    assert separate_polar(worked_body, np.zeros(2)).member
+    assert isinstance(separate_polar(worked_body, np.zeros(2)), Member)
 
 
 def test_polar_duality_between_worked_hulls(worked_body, worked_polar_body):

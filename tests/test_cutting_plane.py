@@ -105,6 +105,22 @@ def test_iteration_count_within_hard_cap(n, t):
     assert out.iterations <= 64 * n * math.log2(1.0 / t)
 
 
+def test_trace_names_a_cut_shallow_only_when_its_certified_offset_binds():
+    # offsets certified below, at and above e1.center; only the first is
+    # placed below the center, the other two pass through it
+    shifts = iter((-0.1, 0.0, 0.1))
+
+    def oracle(w):
+        shift = next(shifts, None)
+        if shift is None:
+            return Member()
+        return CutAnswer(np.array([1.0, 0.0]), offset=float(w[0]) + shift)
+
+    out = solve_feasibility(FeasibilityProblem(2, oracle, r_min=1e-3))
+    assert out.feasible
+    assert [row.cut_kind for row in out.trace.rows] == ["shallow", "central", "central", None]
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         FeasibilityProblem(2, lambda w: Member(), r_min=0.0)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sepopt import (
+    FeasibilityProblem,
+    Member,
     ball,
     correction_cut,
     distance_to_body,
@@ -9,6 +11,7 @@ from sepopt import (
     random_instance,
     separate_polar,
     separate_polar_slice,
+    solve_feasibility,
     standard_reduction,
     support,
 )
@@ -140,34 +143,34 @@ def test_direction_search_first_query_is_p_normalized(worked_body):
 # ------------------------------------------------------------- polar side
 
 def test_polar_oracle_member_on_polar_vertex(worked_body):
-    assert separate_polar(worked_body, np.array([3.0, 1.0])).member
+    assert isinstance(separate_polar(worked_body, np.array([3.0, 1.0])), Member)
 
 
 def test_polar_oracle_cut_outside(worked_body):
     reply = separate_polar(worked_body, np.array([0.0, 2.0]))
-    assert not reply.member
+    assert not isinstance(reply, Member)
     assert np.array_equal(reply.support_point, [0.0, 1.0])
     # the certified plane k.x = 1 separates: k.y = 2 > 1 >= k.q on the polar
     assert float(reply.support_point @ np.array([0.0, 2.0])) > 1.0
-    assert np.allclose(reply.functional, [0.0, 1.0])
-    assert reply.level == pytest.approx(1.0)
+    assert np.allclose(-reply.normal, [0.0, 1.0])
+    assert -reply.offset == pytest.approx(1.0)
 
 
 def test_polar_oracle_zero_vector_is_member(worked_body):
-    assert separate_polar(worked_body, np.zeros(2)).member
+    assert isinstance(separate_polar(worked_body, np.zeros(2)), Member)
 
 
 def test_polar_slice_cut_below_plane(worked_body):
     reply = separate_polar_slice(worked_body, WORKED_OUTSIDE_POINT, np.zeros(2))
-    assert not reply.member
+    assert not isinstance(reply, Member)
     p_unit = WORKED_OUTSIDE_POINT / np.linalg.norm(WORKED_OUTSIDE_POINT)
-    assert np.allclose(reply.functional, -p_unit)
+    assert np.allclose(-reply.normal, -p_unit)
 
 
 def test_polar_slice_first_branch_precedes_polar_check(worked_body):
     # p.(0,2) = -3/2 < 1, so the slice constraint fires before the polar test
     reply = separate_polar_slice(worked_body, WORKED_OUTSIDE_POINT, np.array([0.0, 2.0]))
-    assert not reply.member
+    assert not isinstance(reply, Member)
     assert reply.support_point is None
 
 
@@ -179,7 +182,21 @@ def test_polar_slice_member_exists_for_outside_point(worked_body):
     h = support(worked_body, u).value
     y = u / (h + dist / 2.0)
     reply = separate_polar_slice(worked_body, p, y)
-    assert reply.member
+    assert isinstance(reply, Member)
+
+
+def test_polar_slice_oracle_drives_the_engine_to_a_separating_member(worked_body):
+    # the slice oracle answers in the engine's own types, so the engine takes
+    # it as is; the final member carries the support value at its query
+    p = WORKED_OUTSIDE_POINT
+    outcome = solve_feasibility(FeasibilityProblem(
+        2, lambda y: separate_polar_slice(worked_body, p, y),
+        initial_radius=1.0 / worked_body.inner_radius))
+    assert outcome.feasible
+    answer = outcome.answer
+    assert isinstance(answer, Member)
+    assert answer.value == support(worked_body, answer.query).value
+    assert float(answer.query @ p) > answer.value  # the query separates p
 
 
 def test_standard_reduction_worked_point(worked_body):

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import sys
+import tempfile
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
 
@@ -45,3 +48,25 @@ def test_empty_corpus_prints_missing_statistics_as_na(tmp_path, monkeypatch, cap
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "instances: 0  failed: 0  disagreements: 0"
     assert lines[2].split() == ["heuristic_reduction", "n/a", "n/a", "n/a", "n/a"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--delta", "-1"), ("--delta", "0"), ("--delta", "nan"), ("--delta", "inf"),
+    ("--per-dim", "-3"), ("--per-dim", "0"), ("--jobs", "-4"), ("--jobs", "0"),
+    ("--dims", "1"), ("--dims", "2,x"), ("--dims", "2.5"), ("--dims", ""),
+    ("--seed-base", "-5000"),
+])
+def test_bad_flag_is_a_usage_error_before_any_file_is_written(tmp_path, monkeypatch, capsys,
+                                                              flag, value):
+    script = load_script()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--dims", "2", "--per-dim", "1",
+                                      "--jobs", "1", "--out", str(out), flag, value])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists() and not any(scratch.iterdir())
