@@ -44,26 +44,35 @@ def main():
     parser.add_argument("--dims", default="2,3,4,5",
                         type=_checked(lambda t: [int(d) for d in t.split(",")],
                                       lambda dims: min(dims) >= 2,
-                                      "comma-separated integers >= 2"))
-    parser.add_argument("--per-dim", type=_at_least_one, default=20)
-    parser.add_argument("--delta", type=_positive, default=1e-3)
+                                      "comma-separated integers >= 2"),
+                        help="dimensions to generate (generation only)")
+    parser.add_argument("--per-dim", type=_at_least_one, default=20,
+                        help="instances per dimension (generation only)")
+    parser.add_argument("--delta", type=_positive, default=None,
+                        help="accuracy of every row (default: 1e-3 for a generated "
+                             "corpus, each instance's own delta with --corpus)")
     parser.add_argument("--seed-base", default=0,
-                        type=_checked(int, lambda s: s >= 0, "an integer >= 0"))
+                        type=_checked(int, lambda s: s >= 0, "an integer >= 0"),
+                        help="first instance seed (generation only)")
     parser.add_argument("--jobs", type=_at_least_one, default=2)
     parser.add_argument("--out", default="comparison_report.json")
     args = parser.parse_args()
 
-    if args.corpus:
-        corpus = Path(args.corpus)
-    else:
-        corpus = Path(tempfile.mkdtemp(prefix="sepopt_corpus_"))
-        generate(corpus, args.dims, args.per_dim, args.delta, args.seed_base)
-        print(f"generated corpus in {corpus}")
-
-    paths = sorted(corpus.glob("*.json"))
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        report = compare_corpus(paths, jobs=args.jobs)
+    # opened first, so an unwritable path is refused before any corpus is made
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {out}: {exc.strerror}")
+    with fh:
+        if args.corpus:
+            corpus = Path(args.corpus)
+        else:
+            corpus = Path(tempfile.mkdtemp(prefix="sepopt_corpus_"))
+            generate(corpus, args.dims, args.per_dim, args.delta or 1e-3, args.seed_base)
+            print(f"generated corpus in {corpus}")
+        paths = sorted(corpus.glob("*.json"))
+        report = compare_corpus(paths, delta=args.delta, jobs=args.jobs)
         report.write(fh)
 
     agg = report.aggregates

@@ -43,7 +43,8 @@ class Member:
     """Oracle assertion that the queried point belongs to the target set.
 
     ``query``, ``support_point`` and ``support_calls`` let adapters report
-    what they actually asked the underlying body oracle, for the trace;
+    what they actually asked the underlying body oracle, for the trace (the
+    rows' ``support_calls`` are a verdict's only count of support queries);
     ``value`` is the support value at ``query`` when one was queried.
     """
 
@@ -122,14 +123,12 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
     try:
         omega, lambdas = analytic_center(P)
     except EmptyInterior:
-        trace.verdict = "declared_empty"
         return FeasibilityOutcome(False, None, 0, "empty_interior", trace, P)
 
     iterations = 0
     while iterations < problem.max_iterations:
         est = inscribed_radius_estimate(P)
         if est < problem.r_min:
-            trace.verdict = "declared_empty"
             return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
 
         iterations += 1
@@ -151,7 +150,6 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
         )
         trace.rows.append(row)
         if member:
-            trace.verdict = "feasible"
             return FeasibilityOutcome(True, omega, iterations, "member", trace, P, answer)
 
         cut = Cut(answer.normal, answer.offset)
@@ -170,7 +168,6 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
                 P = drop_least_binding(P, problem.max_cuts)
                 omega, lambdas = P.center, P.conic
         except EmptyInterior:
-            trace.verdict = "declared_empty"
             return FeasibilityOutcome(False, None, iterations, "empty_interior", trace, P)
         except NoConvergence as exc:
             # slivers thinner than the size floor can defeat float precision
@@ -179,9 +176,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             # oracle query is made at the uncertified point)
             if (exc.last_point is not None
                     and P.min_slack(exc.last_point) < problem.r_min):
-                trace.verdict = "declared_empty"
                 return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
             raise
 
-    trace.verdict = "declared_empty"
     return FeasibilityOutcome(False, None, iterations, "iteration_budget", trace, P)

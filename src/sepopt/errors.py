@@ -59,9 +59,5 @@ class DegenerateUpdate(SepoptError):
     """The heuristic update is undefined (query point coincides with the maximizer)."""
 
 
-class CenterOriginFailure(SepoptError):
-    """The direction-search center collapsed onto the origin and retries failed."""
-
-
 class InstanceFormatError(SepoptError):
     """An instance file does not follow the documented JSON schema."""

@@ -15,7 +15,8 @@ The standard route runs feasibility over the polar slice
 set gives a separating plane {x : c.x = 1}, and one support query per probe
 serves as its separation oracle.
 
-Both oracles answer in the engine's own types (Member or CutAnswer), and
+Both oracles call the module's ``support`` themselves and answer in the
+engine's own types (Member or CutAnswer), each reporting its support calls;
 the final Member carries the verdict's functional (its query) and support
 value, which the shared verdict frame reads off the outcome.
 """
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_center import CONIC_RESIDUAL_SCALE, Cut
-from .bodies import BodySpec, TOL_POLAR, TOL_ZERO, support
+from .bodies import BodySpec, TOL_POLAR, TOL_ZERO, _as_vector, support
 from .cutting_plane import CutAnswer, FeasibilityProblem, Member, solve_feasibility
-from .errors import CenterOriginFailure, DegenerateCut, SepoptError
+from .errors import DegenerateCut, SepoptError
 from .traces import RunTrace
 
 logger = logging.getLogger(__name__)
@@ -71,28 +72,11 @@ class SeparationVerdict:
     separated: bool
     separator: np.ndarray | None
     margin: float | None
-    delta: float
     oracle_calls: int
     iterations: int
     reason: str
     trace: RunTrace
     region: object | None = None  # final search region (OuterApprox)
-
-    @property
-    def in_body(self) -> bool:
-        return not self.separated
-
-
-class _CountingSupport:
-    """Support-oracle wrapper that counts invocations for the trace."""
-
-    def __init__(self, body: BodySpec):
-        self.body = body
-        self.count = 0
-
-    def __call__(self, c):
-        self.count += 1
-        return support(self.body, c)
 
 
 def correction_cut(c, p, k_c) -> Cut:
@@ -149,28 +133,29 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
             search) -> SeparationVerdict:
     """The verdict frame both routes share.
 
-    Declares the origin inside, fixes the size floor, counts the support
-    queries and stamps the trace.  ``search(body, p, r_min, oracle, cfg)``
-    runs the route's feasibility problem and returns its outcome.  On a
+    Checks the query point, declares the origin inside, fixes the size
+    floor and stamps the trace.  ``search(body, p, r_min, cfg)`` runs the
+    route's feasibility problem and returns its outcome.  Every support call
+    is made by an oracle answer, which reports it in its trace row, so the
+    rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
     member, the final answer's query h is the separating functional and its
     value v the support value, so the verdict is h in max-norm with margin
     (h.p - v) / max|h|.
     """
     start_time = time.perf_counter()
-    p = np.asarray(p, dtype=float)
+    p = _as_vector(p, body.dimension, "query point")
     if float(np.linalg.norm(p)) < TOL_ZERO:
-        return SeparationVerdict(False, None, None, delta, 0, 0, "origin_interior",
+        return SeparationVerdict(False, None, None, 0, 0, "origin_interior",
                                  RunTrace(mode=mode, verdict="in_body"))
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
-    oracle = _CountingSupport(body)
-    outcome = search(body, p, r_min, oracle, cfg)
+    outcome = search(body, p, r_min, cfg)
 
     trace = outcome.trace
     trace.mode = mode
-    trace.oracle_calls = oracle.count
+    trace.oracle_calls = calls = sum(row.support_calls for row in trace.rows)
     logger.info("%s: %s after %d support calls", label,
-                "separated" if outcome.feasible else "in-body", oracle.count)
+                "separated" if outcome.feasible else "in-body", calls)
     separator = margin = None
     if outcome.feasible:
         h, v = outcome.answer.query, outcome.answer.value
@@ -179,8 +164,8 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
         margin = (float(h @ p) - v) / linf
     trace.verdict = "separated" if outcome.feasible else "in_body"
     trace.wall_time = time.perf_counter() - start_time
-    return SeparationVerdict(outcome.feasible, separator, margin, delta,
-                             oracle.count, outcome.iterations,
+    return SeparationVerdict(outcome.feasible, separator, margin,
+                             calls, outcome.iterations,
                              "separator" if outcome.feasible else outcome.reason,
                              trace, outcome.region)
 
@@ -201,18 +186,18 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
                    _direction_search)
 
 
-def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
+def _direction_search(body: BodySpec, p, r_min, cfg):
     axis = p / float(np.linalg.norm(p))
     rng = np.random.default_rng(cfg.seed)
 
     def adapter(omega):
-        onorm = float(np.linalg.norm(omega))
-        if onorm < TOL_ZERO:
-            raise CenterOriginFailure("search center collapsed onto the origin")
-        c = omega / onorm
+        # the engine queries only when its radius estimate est >= r_min > 0,
+        # and est counts the axis cut's slack axis.omega <= |omega|, so
+        # omega is never the origin
+        c = omega / float(np.linalg.norm(omega))
         calls = 0
         for _ in range(MAX_DEGENERATE_RETRIES + 1):
-            res = oracle(c)
+            res = support(body, c)
             calls += 1
             d = float(c @ res.maximizer - c @ p)
             if d < 0.0:
@@ -231,28 +216,20 @@ def _direction_search(body: BodySpec, p, r_min, oracle, cfg):
         raise DegenerateCut(
             f"no usable cut after {MAX_DEGENERATE_RETRIES} perturbations")
 
-    def run(initial_offset):
-        problem = FeasibilityProblem(
-            dimension=body.dimension,
-            oracle=adapter,
-            initial_radius=1.0,
-            r_min=r_min,
-            max_cuts=cfg.max_cuts,
-            max_iterations=cfg.max_iterations,
-            initial_cuts=(Cut(axis, initial_offset, protected=True),),
-        )
-        return solve_feasibility(problem)
-
-    try:
-        outcome = run(0.0)
-    except CenterOriginFailure:
-        # measure-zero event; retry once with a slightly shallow initial cut
-        outcome = run(-1e-6)
+    outcome = solve_feasibility(FeasibilityProblem(
+        dimension=body.dimension,
+        oracle=adapter,
+        initial_radius=1.0,
+        r_min=r_min,
+        max_cuts=cfg.max_cuts,
+        max_iterations=cfg.max_iterations,
+        initial_cuts=(Cut(axis, 0.0, protected=True),),
+    ))
     _verify_conic_rows(outcome.trace)
     return outcome
 
 
-def separate_polar(body: BodySpec, y, support_fn=None) -> Member | CutAnswer:
+def separate_polar(body: BodySpec, y) -> Member | CutAnswer:
     """Separation oracle for the polar set {c : c.x <= 1 on the body}.
 
     One support query: y is a member iff the support value b = y.k is at most
@@ -260,11 +237,10 @@ def separate_polar(body: BodySpec, y, support_fn=None) -> Member | CutAnswer:
     k itself separates, because k.y = b > 1 while k.q <= 1 for every polar
     point q, so the CutAnswer keeps {c : -k.c >= -1} in unit-normal form.
     """
-    support_fn = support_fn or (lambda d: support(body, d))
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) < TOL_ZERO:
         return Member(query=y, value=0.0)
-    res = support_fn(y)
+    res = support(body, y)
     if res.value <= 1.0 + TOL_POLAR:
         return Member(query=y, value=res.value, support_calls=1)
     k = res.maximizer
@@ -272,7 +248,7 @@ def separate_polar(body: BodySpec, y, support_fn=None) -> Member | CutAnswer:
     return CutAnswer(-k / knorm, offset=-1.0 / knorm, support_point=k, support_calls=1)
 
 
-def separate_polar_slice(body: BodySpec, p, y, support_fn=None) -> Member | CutAnswer:
+def separate_polar_slice(body: BodySpec, p, y) -> Member | CutAnswer:
     """Separation oracle for the polar intersected with {c : p.c >= 1}.
 
     Points with p.y < 1 are cut off by the slice constraint itself (no
@@ -283,7 +259,7 @@ def separate_polar_slice(body: BodySpec, p, y, support_fn=None) -> Member | CutA
     if float(p @ y) < 1.0:
         pnorm = float(np.linalg.norm(p))
         return CutAnswer(p / pnorm, offset=1.0 / pnorm)
-    return separate_polar(body, y, support_fn)
+    return separate_polar(body, y)
 
 
 def standard_reduction(body: BodySpec, p, delta: float,
@@ -299,10 +275,10 @@ def standard_reduction(body: BodySpec, p, delta: float,
     return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 
 
-def _polar_search(body: BodySpec, p, r_min, oracle, cfg):
+def _polar_search(body: BodySpec, p, r_min, cfg):
     return solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
-        oracle=lambda y: separate_polar_slice(body, p, y, oracle),
+        oracle=lambda y: separate_polar_slice(body, p, y),
         initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
         max_cuts=cfg.max_cuts,

@@ -353,6 +353,25 @@ def test_compare_worker_pool_matches_serial(small_corpus, tmp_path):
     assert [r.to_dict() for r in serial.rows] == [r.to_dict() for r in parallel.rows]
 
 
+def test_compare_separator_within_delta_outside_agrees(tmp_path, capsys):
+    # at delta 0.5 the worked outside point (0.44 from the body) counts as
+    # inside, yet both routes certify a separator, which weak separation
+    # allows there
+    corpus = tmp_path / "worked"
+    corpus.mkdir()
+    for path in (WORKED_INSIDE, WORKED_OUTSIDE):
+        (corpus / path.name).write_text(path.read_text())
+    out_path = tmp_path / "report.json"
+    assert main(["compare", "--corpus", str(corpus), "--out", str(out_path),
+                 "--delta", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["disagreements"] == 0
+    row = {r["instance_id"]: r for r in json.loads(out_path.read_text())["rows"]}[
+        "worked2d_outside#s0"]
+    assert row["true_status"] == "inside"
+    assert row["heuristic_verdict"] == row["standard_verdict"] == "separated"
+    assert row["agreement"]
+
+
 def compare_with_step_budget(monkeypatch, path, max_iterations):
     """compare_one on ``path`` with the distance iteration capped so that it
     cannot converge."""

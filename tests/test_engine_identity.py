@@ -171,6 +171,28 @@ def test_phase1_runs_only_for_the_direction_search_initial_region(run_id, route,
         assert all(cuts == 1 and center is None for cuts, center in regions)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("run_id", RUN_IDS)
+def test_oracle_calls_are_the_rows_support_calls_and_every_call_made(run_id, route,
+                                                                     monkeypatch):
+    # the oracles call the module's ``support``, so counting on it sees
+    # every call the route makes; the verdict reads its count off the rows
+    module = importlib.import_module("sepopt.reductions")
+    original = module.support
+    made = []
+
+    def counted(body, c):
+        made.append(c)
+        return original(body, c)
+
+    monkeypatch.setattr(module, "support", counted)
+    run = golden()[run_id]
+    verdict = ROUTES[route](build_body(run), floats(run["p"]), DELTA)
+    rows = sum(row.support_calls for row in verdict.trace.rows)
+    assert verdict.oracle_calls == rows == len(made)
+    assert verdict.trace.oracle_calls == verdict.oracle_calls
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)

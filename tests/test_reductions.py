@@ -15,7 +15,7 @@ from sepopt import (
     standard_reduction,
     support,
 )
-from sepopt.errors import DegenerateCut
+from sepopt.errors import DegenerateCut, DimensionMismatch
 
 from conftest import WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT
 
@@ -338,23 +338,59 @@ def test_degenerate_cut_perturbation_recovers():
     assert retried, "expected at least one degenerate-cut retry"
 
 
-def test_center_origin_failure_retries_with_shallow_initial_cut(worked_body, monkeypatch):
+@pytest.mark.parametrize("delta", [1e-3, 1e-13])
+@pytest.mark.parametrize("point", [WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT],
+                         ids=["inside", "outside"])
+def test_direction_search_queries_no_centre_within_r_min_of_the_origin(worked_body, point,
+                                                                      delta, monkeypatch):
+    # the engine queries only at a radius estimate >= r_min, and the axis
+    # cut's slack bounds the estimate by |omega|; at delta = 1e-13, r_min
+    # lies below TOL_ZERO, so no zero-centre check could stand in for this
     import sepopt.reductions as red
-    from sepopt.errors import CenterOriginFailure
+    from sepopt.bodies import TOL_ZERO
+    from sepopt.errors import SepoptError
 
-    offsets = []
+    queried = []
     real_solve = red.solve_feasibility
 
-    def flaky_solve(problem):
-        offsets.append(problem.initial_cuts[0].offset)
-        if len(offsets) == 1:
-            raise CenterOriginFailure("synthetic")
+    def recording_solve(problem):
+        oracle = problem.oracle
+
+        def recorded(omega):
+            queried.append((float(np.linalg.norm(omega)), problem.r_min))
+            return oracle(omega)
+
+        problem.oracle = recorded
         return real_solve(problem)
 
-    monkeypatch.setattr(red, "solve_feasibility", flaky_solve)
-    verdict = red.heuristic_reduction(worked_body, WORKED_OUTSIDE_POINT, 1e-3)
-    assert verdict.separated
-    assert offsets == [0.0, -1e-6]
+    monkeypatch.setattr(red, "solve_feasibility", recording_solve)
+    try:
+        red.heuristic_reduction(worked_body, point, delta)
+    except SepoptError:
+        pass  # the centres queried before a float-precision failure still count
+    assert queried
+    assert all(norm >= r_min > 0 for norm, r_min in queried)
+    if delta == 1e-13:
+        assert queried[0][1] < TOL_ZERO
+
+
+@pytest.mark.parametrize("p, error", [
+    (np.array([np.nan, 0.5]), ValueError),
+    (np.array([-0.5, np.inf]), ValueError),
+    (np.array([-0.5, 0.5, 0.0]), DimensionMismatch),
+], ids=["nan", "inf", "wrong-length"])
+@pytest.mark.parametrize("route", [heuristic_reduction, standard_reduction],
+                         ids=["ours", "standard"])
+def test_reductions_reject_a_bad_query_point_before_any_support_call(worked_body, route, p,
+                                                                     error, monkeypatch):
+    import sepopt.reductions as red
+
+    def no_support(body, c):
+        raise AssertionError("support called")
+
+    monkeypatch.setattr(red, "support", no_support)
+    with pytest.raises(error, match="query point"):
+        route(worked_body, p, 1e-3)
 
 
 def test_reductions_on_affine_image_body(worked_body):

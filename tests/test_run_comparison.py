@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def load_script():
@@ -70,3 +71,34 @@ def test_bad_flag_is_a_usage_error_before_any_file_is_written(tmp_path, monkeypa
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not out.exists() and not any(scratch.iterdir())
+
+
+def test_delta_applies_to_an_existing_corpus(tmp_path, monkeypatch):
+    # the same calls as ``sepopt compare --delta 0.5`` over the worked instances
+    script = load_script()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("worked2d_inside.json", "worked2d_outside.json"):
+        (corpus / name).write_text((DATA / name).read_text())
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--corpus", str(corpus),
+                                      "--jobs", "1", "--out", str(out), "--delta", "0.5"])
+    script.main()
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["heuristic_calls"], r["standard_calls"]) for r in rows] == [(6, 4), (1, 5)]
+
+
+def test_unwritable_output_is_a_usage_error_before_any_corpus_is_made(tmp_path, monkeypatch,
+                                                                     capsys):
+    script = load_script()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    out = tmp_path / "missing" / "report.json"
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--dims", "2", "--per-dim", "1",
+                                      "--jobs", "1", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert not any(scratch.iterdir())
