@@ -258,7 +258,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             else:
                 raise NoConvergence(
                     f"full Newton step left the region at iteration {it} "
-                    f"(decrement {decrement:.3e})", iterations=it, last_point=x)
+                    f"(decrement {decrement:.3e})", last_point=x)
             continue
 
         fx = barrier_value(P, x, s)
@@ -274,15 +274,12 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
         else:
             raise NoConvergence(
                 f"line search stalled at iteration {it} (decrement {decrement:.3e})",
-                iterations=it, last_point=x,
-            )
+                last_point=x)
         x, s = candidate, s_candidate
     else:
         raise NoConvergence(
             f"no center after {MAX_NEWTON_ITERS} Newton iterations "
-            f"(gradient norm {gnorm:.3e})",
-            iterations=MAX_NEWTON_ITERS, last_point=x,
-        )
+            f"(gradient norm {gnorm:.3e})", last_point=x)
 
     logger.debug("center after %d Newton steps (|grad| %.2e)", it, gnorm)
     lambdas = q / (2.0 * s)   # q and s belong to the final x

@@ -91,8 +91,8 @@ class BodySpec:
 
     def __post_init__(self):
         n = self.dimension
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
         if not (0.0 < self.inner_radius <= self.outer_radius):
             raise ValueError(
                 f"need 0 < inner_radius <= outer_radius, got "
@@ -288,8 +288,7 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
 
     raise NoConvergence(
         f"distance iteration did not reach tol={tol} in {max_iterations} steps",
-        iterations=max_iterations, last_point=x,
-    )
+        last_point=x)
 
 
 def _unit(rng, n):

@@ -2,8 +2,8 @@
 
 Subcommands:
   separate --instance F --mode {heuristic|ours|standard} [--delta X]
-           [--max-cuts H] [--max-iterations K] [--seed S] [--trace F2]
-  compare  --corpus D --out F [--seeds 0,1] [--jobs N]
+           [--max-cuts H] [--max-iterations K] [--trace F2]
+  compare  --corpus D --out F [--delta X] [--jobs N]
   trace2d  --instance F --mode M --out F
 
 Exit codes: 0 separated, 1 in-body, 2 inconclusive (heuristic mode only),
@@ -99,8 +99,6 @@ def _build_parser():
                        type=_checked(int, lambda k: k >= 2, "an integer >= 2"))
         p.add_argument("--max-iterations", default=None,
                        type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
-        p.add_argument("--seed", default=0,
-                       type=_checked(int, lambda s: s >= 0, "an integer >= 0"))
 
     sep = sub.add_parser("separate", help="solve one instance")
     add_common(sep)
@@ -109,10 +107,6 @@ def _build_parser():
     cmp_ = sub.add_parser("compare", help="run both reductions over a corpus")
     cmp_.add_argument("--corpus", required=True, help="directory of instance JSON files")
     cmp_.add_argument("--out", required=True, help="report JSON path (CSV written next to it)")
-    cmp_.add_argument("--seeds", default="0", help="comma-separated seeds, one run per seed",
-                      type=_checked(lambda t: [int(s) for s in t.split(",") if s.strip()],
-                                    lambda seeds: min(seeds, default=0) >= 0,
-                                    "comma-separated integers >= 0"))
     cmp_.add_argument("--jobs", default=1, help="worker processes",
                       type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
     cmp_.add_argument("--delta", type=_positive, default=None)
@@ -121,14 +115,6 @@ def _build_parser():
     add_common(t2d)
     t2d.add_argument("--out", required=True, help="CSV output path")
     return parser
-
-
-def _reduction_config(args) -> ReductionConfig:
-    return ReductionConfig(
-        max_cuts=args.max_cuts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
 
 
 def _run_mode(instance: Instance, mode: str, delta: float, args):
@@ -159,7 +145,8 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
                 "reason": "separator"}, trace, EXIT_SEPARATED
 
     run = heuristic_reduction if mode == "heuristic_reduction" else standard_reduction
-    verdict = run(body, p, delta, _reduction_config(args))
+    cfg = ReductionConfig(max_cuts=args.max_cuts, max_iterations=args.max_iterations)
+    verdict = run(body, p, delta, cfg)
     fragment = {
         "verdict": "separated" if verdict.separated else "in_body",
         "separator": verdict.separator,
@@ -194,25 +181,18 @@ def _load_run(args):
 
 def cmd_separate(args) -> int:
     instance, mode, delta = _load_run(args)
+    result = {"schema_version": 1, "mode": mode}
     try:
         fragment, trace, code = _run_mode(instance, mode, delta, args)
+        result.update(fragment, delta=delta, trace_path=args.trace or None,
+                      tolerances=_tolerances(instance, delta))
     except SepoptError as exc:
-        result = {"schema_version": 1, "mode": mode,
-                  "error": {"code": type(exc).__name__, "message": str(exc)}}
-        print(dumps_canonical(result))
-        return EXIT_SOFTWARE
-
-    trace_path = None
-    if getattr(args, "trace", None):
-        trace_path = args.trace
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        # a failed run's trace (its rows up to the raise) is still written
+        trace, code = exc.trace, EXIT_SOFTWARE
+        result["error"] = {"code": type(exc).__name__, "message": str(exc)}
+    if args.trace and trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(trace.to_dict(), indent=2) + "\n")
-
-    result = {"schema_version": 1, "mode": mode}
-    result.update(fragment)
-    result["delta"] = delta
-    result["trace_path"] = trace_path
-    result["tolerances"] = _tolerances(instance, delta)
     print(dumps_canonical(result))
     return code
 
@@ -244,16 +224,16 @@ def _truth_status(instance: Instance, delta: float):
     return ("outside" if dist > delta else "inside"), dist
 
 
-def compare_one(path, seed=0, delta=None) -> ComparisonRow:
-    """Run both reductions plus the distance oracle on one instance file."""
-    instance_id = f"{Path(path).stem}#s{seed}"
+def compare_one(path, delta=None) -> ComparisonRow:
+    """Run both reductions plus the distance oracle on one instance file,
+    in a row keyed by the file's stem."""
+    instance_id = Path(path).stem
     try:
         instance = load_instance(path)
         d = delta if delta is not None else instance.delta
         status, dist = _truth_status(instance, d)
-        cfg = ReductionConfig(seed=seed)
-        ours = heuristic_reduction(instance.body, instance.query_point, d, cfg)
-        std = standard_reduction(instance.body, instance.query_point, d, cfg)
+        ours = heuristic_reduction(instance.body, instance.query_point, d, ReductionConfig())
+        std = standard_reduction(instance.body, instance.query_point, d, ReductionConfig())
         # weak separation: a certified separator is right wherever p lies
         # (a positive margin puts p outside the body), an in-body verdict
         # only within delta of the body
@@ -292,8 +272,8 @@ def _compare_task(task):
     return compare_one(*task)
 
 
-def compare_corpus(paths, seeds=(0,), delta=None, jobs=1) -> ComparisonReport:
-    tasks = [(str(p), s, delta) for p in paths for s in seeds]
+def compare_corpus(paths, delta=None, jobs=1) -> ComparisonReport:
+    tasks = [(str(p), delta) for p in paths]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_compare_task, tasks))
@@ -314,8 +294,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     # opened first, so an unwritable path is refused before any row runs
     with open(out, "w", encoding="utf-8") as fh:
-        report = compare_corpus(paths, seeds=args.seeds or [0], delta=args.delta,
-                                jobs=args.jobs)
+        report = compare_corpus(paths, delta=args.delta, jobs=args.jobs)
         report.write(fh)
     agg = report.aggregates
     print(dumps_canonical({"written": str(out), "instances": agg["instances"],

@@ -30,7 +30,7 @@ from .analytic_center import (
     drop_least_binding,
     inscribed_radius_estimate,
 )
-from .errors import EmptyInterior, NoConvergence
+from .errors import EmptyInterior, NoConvergence, SepoptError
 from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
@@ -115,68 +115,72 @@ class FeasibilityOutcome:
 
 
 def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
-    """Run the cutting-plane loop; oracle exceptions propagate to the caller."""
+    """Run the cutting-plane loop; exceptions propagate, a SepoptError carrying the trace."""
     trace = RunTrace(mode="feasibility")
-    P = OuterApprox(problem.dimension, ball_radius=problem.initial_radius)
-    for cut in problem.initial_cuts:
-        P = add_cut(P, cut)
     try:
-        omega, lambdas = analytic_center(P)
-    except EmptyInterior:
-        return FeasibilityOutcome(False, None, 0, "empty_interior", trace, P)
-
-    iterations = 0
-    while iterations < problem.max_iterations:
-        est = inscribed_radius_estimate(P)
-        if est < problem.r_min:
-            return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
-
-        iterations += 1
-        answer = problem.oracle(omega)
-        member = isinstance(answer, Member)
-        logger.debug("iter %d: inradius %.3e, %s", iterations, est,
-                     "member" if member else "cut")
-        row = TraceRow(
-            iteration=iterations,
-            center=omega,
-            query=omega if answer.query is None else answer.query,
-            oracle_answer="member" if member else "cut",
-            support_point=answer.support_point,
-            support_gap=answer.support_gap,
-            support_calls=answer.support_calls,
-            inradius=est,
-            lambda_min=lambdas.min() if lambdas.size else None,
-            conic_residual=conic_residual(P, omega, lambdas),
-        )
-        trace.rows.append(row)
-        if member:
-            return FeasibilityOutcome(True, omega, iterations, "member", trace, P, answer)
-
-        cut = Cut(answer.normal, answer.offset)
-        # central placement, capped by the certified offset so a float-dust
-        # positive center value can never cut into the target set
-        value = float(cut.normal @ omega)
-        P = add_cut(P, Cut(cut.normal, min(cut.offset, value)))
-        placed = P.cuts[-1]
-        row.cut_normal, row.cut_offset = placed.normal, placed.offset
-        row.cut_kind = "shallow" if cut.offset < value - KIND_TOL else "central"
-
+        P = OuterApprox(problem.dimension, ball_radius=problem.initial_radius)
+        for cut in problem.initial_cuts:
+            P = add_cut(P, cut)
         try:
-            # each placed offset is <= normal.omega, so every slack here is >= est/2
-            omega, lambdas = analytic_center(P, warm_start=omega + (0.5 * est) * placed.normal)
-            if len(P.cuts) > problem.max_cuts:
-                P = drop_least_binding(P, problem.max_cuts)
-                omega, lambdas = P.center, P.conic
+            omega, lambdas = analytic_center(P)
         except EmptyInterior:
-            return FeasibilityOutcome(False, None, iterations, "empty_interior", trace, P)
-        except NoConvergence as exc:
-            # slivers thinner than the size floor can defeat float precision
-            # before their exact center exists; if the best Newton iterate
-            # already certifies the region is below the floor, stop here (no
-            # oracle query is made at the uncertified point)
-            if (exc.last_point is not None
-                    and P.min_slack(exc.last_point) < problem.r_min):
-                return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
-            raise
+            return FeasibilityOutcome(False, None, 0, "empty_interior", trace, P)
 
-    return FeasibilityOutcome(False, None, iterations, "iteration_budget", trace, P)
+        iterations = 0
+        while iterations < problem.max_iterations:
+            est = inscribed_radius_estimate(P)
+            if est < problem.r_min:
+                return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
+
+            iterations += 1
+            answer = problem.oracle(omega)
+            member = isinstance(answer, Member)
+            logger.debug("iter %d: inradius %.3e, %s", iterations, est,
+                         "member" if member else "cut")
+            row = TraceRow(
+                iteration=iterations,
+                center=omega,
+                query=omega if answer.query is None else answer.query,
+                oracle_answer="member" if member else "cut",
+                support_point=answer.support_point,
+                support_gap=answer.support_gap,
+                support_calls=answer.support_calls,
+                inradius=est,
+                lambda_min=lambdas.min() if lambdas.size else None,
+                conic_residual=conic_residual(P, omega, lambdas),
+            )
+            trace.rows.append(row)
+            if member:
+                return FeasibilityOutcome(True, omega, iterations, "member", trace, P, answer)
+
+            cut = Cut(answer.normal, answer.offset)
+            # central placement, capped by the certified offset so a float-dust
+            # positive center value can never cut into the target set
+            value = float(cut.normal @ omega)
+            P = add_cut(P, Cut(cut.normal, min(cut.offset, value)))
+            placed = P.cuts[-1]
+            row.cut_normal, row.cut_offset = placed.normal, placed.offset
+            row.cut_kind = "shallow" if cut.offset < value - KIND_TOL else "central"
+
+            try:
+                # each placed offset is <= normal.omega, so every slack here is >= est/2
+                omega, lambdas = analytic_center(P, warm_start=omega + (0.5 * est) * placed.normal)
+                if len(P.cuts) > problem.max_cuts:
+                    P = drop_least_binding(P, problem.max_cuts)
+                    omega, lambdas = P.center, P.conic
+            except EmptyInterior:
+                return FeasibilityOutcome(False, None, iterations, "empty_interior", trace, P)
+            except NoConvergence as exc:
+                # slivers thinner than the size floor can defeat float precision
+                # before their exact center exists; if the best Newton iterate
+                # already certifies the region is below the floor, stop here (no
+                # oracle query is made at the uncertified point)
+                if (exc.last_point is not None
+                        and P.min_slack(exc.last_point) < problem.r_min):
+                    return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
+                raise
+
+        return FeasibilityOutcome(False, None, iterations, "iteration_budget", trace, P)
+    except SepoptError as exc:
+        exc.trace = trace
+        raise

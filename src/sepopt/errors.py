@@ -2,7 +2,10 @@
 
 
 class SepoptError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``trace`` is the RunTrace of the
+    run an error ended, when it was raised inside one."""
+
+    trace = None
 
 
 class DimensionMismatch(SepoptError):
@@ -21,9 +24,8 @@ class NoConvergence(SepoptError):
     below its size floor even though its center is beyond float precision).
     """
 
-    def __init__(self, message, iterations=None, last_point=None):
+    def __init__(self, message, last_point=None):
         super().__init__(message)
-        self.iterations = iterations
         self.last_point = last_point
 
 

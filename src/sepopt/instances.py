@@ -12,9 +12,10 @@ An instance file is a UTF-8 JSON object with exactly these fields:
       "delta": d
     }
 
-Unknown fields are rejected.  Serialization is canonical: fixed field order,
-floats printed with 17 significant digits (exact double round-trip), so
-parse-then-serialize is idempotent.
+The dimension n is an integer >= 2.  Unknown fields are rejected.
+Serialization is canonical: fixed field order, floats printed with 17
+significant digits (exact double round-trip), so parse-then-serialize is
+idempotent.
 """
 
 import json
@@ -147,8 +148,8 @@ def _vector(obj, n, where):
 def parse_instance(obj) -> Instance:
     _require_keys(obj, TOP_FIELDS, "instance")
     n = obj["dimension"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InstanceFormatError(f"dimension must be a positive integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise InstanceFormatError(f"dimension must be an integer >= 2, got {n!r}")
 
     body_obj = obj["body"]
     if not isinstance(body_obj, dict) or "type" not in body_obj:

@@ -42,15 +42,11 @@ MAX_DEGENERATE_RETRIES = 8
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Budgets shared by both reductions (None picks the engine's defaults).
-
-    ``seed`` drives only the perturbation used to escape degenerate cuts;
-    delta alone sets the size floor (default_r_min).
-    """
+    """Budgets shared by both reductions (None picks the engine's defaults);
+    delta alone sets the size floor (default_r_min)."""
 
     max_cuts: int | None = None
     max_iterations: int | None = None
-    seed: int = 0
 
 
 def default_r_min(delta: float, outer_radius: float, n: int) -> float:
@@ -117,16 +113,17 @@ def _perturb_orthogonal(c, rng, scale=1e-8):
 
 def _verify_conic_rows(trace: RunTrace):
     for row in trace.rows:
+        failure = None
         if row.lambda_min is not None and row.lambda_min < CONIC_LAMBDA_FLOOR:
-            raise SepoptError(
-                f"conic certificate failed at iteration {row.iteration}: "
-                f"min lambda {row.lambda_min:.3e}")
-        if row.conic_residual is not None and row.center is not None:
+            failure = f"min lambda {row.lambda_min:.3e}"
+        elif row.conic_residual is not None and row.center is not None:
             bound = CONIC_RESIDUAL_SCALE * (1.0 + float(np.linalg.norm(row.center)))
             if row.conic_residual > bound:
-                raise SepoptError(
-                    f"conic certificate failed at iteration {row.iteration}: "
-                    f"residual {row.conic_residual:.3e} > {bound:.3e}")
+                failure = f"residual {row.conic_residual:.3e} > {bound:.3e}"
+        if failure is not None:
+            exc = SepoptError(f"conic certificate failed at iteration {row.iteration}: {failure}")
+            exc.trace = trace
+            raise exc
 
 
 def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
@@ -140,20 +137,31 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
     rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
     member, the final answer's query h is the separating functional and its
     value v the support value, so the verdict is h in max-norm with margin
-    (h.p - v) / max|h|.
+    (h.p - v) / max|h|.  A SepoptError raised by the search carries its
+    trace, which is stamped with verdict "error".
     """
     start_time = time.perf_counter()
+
+    def stamp(trace, verdict):
+        trace.mode, trace.verdict = mode, verdict
+        trace.oracle_calls = sum(row.support_calls for row in trace.rows)
+        trace.wall_time = time.perf_counter() - start_time
+        return trace.oracle_calls
+
     p = _as_vector(p, body.dimension, "query point")
     if float(np.linalg.norm(p)) < TOL_ZERO:
         return SeparationVerdict(False, None, None, 0, 0, "origin_interior",
                                  RunTrace(mode=mode, verdict="in_body"))
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
-    outcome = search(body, p, r_min, cfg)
+    try:
+        outcome = search(body, p, r_min, cfg)
+    except SepoptError as exc:
+        stamp(exc.trace, "error")
+        raise
 
     trace = outcome.trace
-    trace.mode = mode
-    trace.oracle_calls = calls = sum(row.support_calls for row in trace.rows)
+    calls = stamp(trace, "separated" if outcome.feasible else "in_body")
     logger.info("%s: %s after %d support calls", label,
                 "separated" if outcome.feasible else "in-body", calls)
     separator = margin = None
@@ -162,8 +170,6 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
         linf = float(np.abs(h).max())
         separator = h / linf
         margin = (float(h @ p) - v) / linf
-    trace.verdict = "separated" if outcome.feasible else "in_body"
-    trace.wall_time = time.perf_counter() - start_time
     return SeparationVerdict(outcome.feasible, separator, margin,
                              calls, outcome.iterations,
                              "separator" if outcome.feasible else outcome.reason,
@@ -188,7 +194,8 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
 
 def _direction_search(body: BodySpec, p, r_min, cfg):
     axis = p / float(np.linalg.norm(p))
-    rng = np.random.default_rng(cfg.seed)
+    # a fixed generator: a verdict depends on (body, p, delta) alone
+    rng = np.random.default_rng(0)
 
     def adapter(omega):
         # the engine queries only when its radius estimate est >= r_min > 0,

@@ -168,8 +168,7 @@ def test_separate_bad_flag_is_usage_error(capsys):
 @pytest.mark.parametrize("flags", [
     ["--delta", "0"], ["--delta=-1e-3"], ["--delta", "nan"], ["--max-iterations", "0"],
     ["--mode", "heuristic", "--max-iterations", "0"], ["--max-cuts", "1"],
-    ["--delta", "inf"], ["--max-iterations", "1.5"], ["--max-cuts", "two"], ["--seed", "x"],
-    ["--seed=-1"],
+    ["--delta", "inf"], ["--max-iterations", "1.5"], ["--max-cuts", "two"],
 ])
 def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
     argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
@@ -182,9 +181,11 @@ def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
 @pytest.mark.parametrize("flags", [
     ["--cut-depth=-1e-5"], ["--cut-depth=0"], ["--r-min", "1e-4"],
     ["--cut-depth=0.1"], ["--cut-depth=nan"], ["--r-min", "0"], ["--r-min", "inf"],
+    ["--seed", "0"],
 ])
 def test_separate_removed_flag_is_usage_error(flags, capsys):
-    # delta alone sets the accuracy: cuts are central, the floor is default_r_min
+    # a verdict is a function of (body, p, delta): cuts are central, the floor
+    # is default_r_min, and no seed enters
     argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -192,12 +193,15 @@ def test_separate_removed_flag_is_usage_error(flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=0,-2", "--jobs=0", "--jobs=-5"])
-def test_compare_negative_seed_is_usage_error(seeds, tmp_path, capsys):
+@pytest.mark.parametrize("flags, error", [
+    (["--seeds", "0"], "unrecognized arguments"), (["--seeds", "0,1"], "unrecognized arguments"),
+    (["--jobs=0"], "argument --jobs"), (["--jobs=-5"], "argument --jobs"),
+], ids=["seeds-0", "seeds-0,1", "jobs=0", "jobs=-5"])
+def test_compare_negative_seed_is_usage_error(flags, error, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json"), seeds])
+        main(["compare", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json"), *flags])
     assert exc.value.code == 64
-    assert f"error: argument {seeds.split('=')[0]}" in capsys.readouterr().err
+    assert f"error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -275,6 +279,36 @@ def test_separate_writes_trace(tmp_path, capsys):
                         "cut_normal", "cut_offset", "cut_kind", "inradius"}
 
 
+@pytest.mark.parametrize("mode, delta", [("ours", "1e-13"), ("standard", "1e-4")])
+def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, tmp_path, capsys):
+    argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", mode, "--delta", delta]
+    assert main(argv) == 70
+    plain = capsys.readouterr().out
+    trace_path = tmp_path / "trace.json"
+    assert main([*argv, "--trace", str(trace_path)]) == 70
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["error"]["code"] == "NoConvergence"
+    trace = json.loads(trace_path.read_text())
+    assert trace["mode"] == sepopt.cli.MODE_ALIASES[mode]
+    assert trace["verdict"] == "error"
+    assert trace["rows"]
+    assert trace["oracle_calls"] == sum(row["support_calls"] for row in trace["rows"])
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "ours", "standard"])
+def test_one_dimensional_instance_is_usage_error(mode, tmp_path, capsys):
+    # in 1-D every correction cut is degenerate; such bodies are refused
+    # before any route runs
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "body": {"type": "vertex_polytope", "vertices": [[-1], [2]]},
+        "outer_radius": 2, "inner_radius": 1, "query_point": [0.5], "delta": 1e-3}))
+    assert main(["separate", "--instance", str(path), "--mode", mode]) == 64
+    assert "dimension must be an integer >= 2" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="dimension"):
+        vertex_polytope([[-1.0], [2.0]], inner_radius=1.0)
+
+
 def test_separate_delta_override(capsys):
     main(["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours",
           "--delta", "0.01"])
@@ -308,7 +342,8 @@ def test_compare_writes_report_and_csv(small_corpus, tmp_path, capsys):
 
     report = json.loads(out_path.read_text())
     assert report["schema_version"] == 1
-    assert len(report["rows"]) == 6
+    assert [r["instance_id"] for r in report["rows"]] == sorted(
+        p.stem for p in small_corpus.glob("*.json"))
     for mode in ("heuristic_reduction", "standard_reduction"):
         assert report["aggregates"][mode]["mean_calls"] is not None
         assert report["aggregates"][mode]["median_calls_outside"] is not None
@@ -366,7 +401,7 @@ def test_compare_separator_within_delta_outside_agrees(tmp_path, capsys):
                  "--delta", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["disagreements"] == 0
     row = {r["instance_id"]: r for r in json.loads(out_path.read_text())["rows"]}[
-        "worked2d_outside#s0"]
+        "worked2d_outside"]
     assert row["true_status"] == "inside"
     assert row["heuristic_verdict"] == row["standard_verdict"] == "separated"
     assert row["agreement"]
@@ -473,18 +508,6 @@ def test_separate_ball_instance(capsys):
     assert code == 0
     assert out["separator"] == pytest.approx([0.0, 1.0], abs=1e-12)
     assert out["margin"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_compare_multiple_seeds(small_corpus, tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code = main(["compare", "--corpus", str(small_corpus), "--out", str(out_path),
-                 "--seeds", "0,1"])
-    assert code == 0
-    report = json.loads(out_path.read_text())
-    assert len(report["rows"]) == 12  # 6 instances x 2 seeds
-    ids = [r["instance_id"] for r in report["rows"]]
-    assert any(i.endswith("#s0") for i in ids) and any(i.endswith("#s1") for i in ids)
-    assert report["aggregates"]["disagreements"] == 0
 
 
 def test_separate_writes_heuristic_trace(tmp_path, capsys):

@@ -16,6 +16,7 @@ from sepopt import (
     support,
 )
 from sepopt.errors import DegenerateCut, DimensionMismatch
+from sepopt.instances import dumps_canonical
 
 from conftest import WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT
 
@@ -336,6 +337,13 @@ def test_degenerate_cut_perturbation_recovers():
     assert not verdict.separated
     retried = [r for r in verdict.trace.rows if r.support_calls > 1]
     assert retried, "expected at least one degenerate-cut retry"
+    # the perturbations follow one fixed sequence, so the verdict is a
+    # function of (body, p, delta): a second run repeats every row bit for bit
+    assert verdict.oracle_calls == 14
+    again = heuristic_reduction(diamond, np.array([0.5, 0.0]), 1e-3)
+    assert again.oracle_calls == 14
+    assert dumps_canonical(again.trace.to_dict()["rows"]) == \
+        dumps_canonical(verdict.trace.to_dict()["rows"])
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-13])
