@@ -242,7 +242,9 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
         # gap <= tol*dist/2 bounds the distance error by tol (see tests)
         if fw_gap <= 0.5 * tol * max(tol, dist):
             return dist, x
-        away_key = max(atoms, key=lambda k: float(g @ atoms[k][0]))
+        # a full toward step leaves the other atoms at weight 0.0 (no room to step away)
+        away_key = max((k for k in atoms if atoms[k][1] > 0.0),
+                       key=lambda k: float(g @ atoms[k][0]))
         away_point, away_weight = atoms[away_key]
         away_gap = float(g @ (away_point - x))
 

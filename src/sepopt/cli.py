@@ -7,8 +7,10 @@ Subcommands:
   trace2d  --instance F --mode M --out F
 
 Exit codes: 0 separated, 1 in-body, 2 inconclusive (heuristic mode only),
-64 usage, malformed input or unwritable output, 70 solver error.  Set
-SEPOPT_LOG to control the log level.
+64 usage, malformed input or unwritable output, 70 solver error (the rows the
+run made are still written to --trace or the trace2d CSV).  Every mode runs
+in one verdict frame and logs one INFO summary line per run; set SEPOPT_LOG
+to control the log level.
 """
 
 import argparse
@@ -17,7 +19,6 @@ import logging
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -25,27 +26,19 @@ import numpy as np
 from .analytic_center import TOL_NEWTON
 from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body, support
 from .errors import InstanceFormatError, NoConvergence, SepoptError
-from .heuristic import HeuristicConfig, run_heuristic
 from .instances import Instance, dumps_canonical, load_instance
 from .reductions import (
     ReductionConfig,
+    correction_heuristic,
     default_r_min,
     heuristic_reduction,
     standard_reduction,
 )
-from .traces import (
-    ComparisonReport,
-    ComparisonRow,
-    RunTrace,
-    heuristic_trace,
-    write_trace2d_csv,
-)
+from .traces import ComparisonReport, ComparisonRow, write_trace2d_csv
 
 logger = logging.getLogger(__name__)
 
-EXIT_SEPARATED = 0
-EXIT_IN_BODY = 1
-EXIT_INCONCLUSIVE = 2
+EXIT_CODES = {"separated": 0, "in_body": 1, "inconclusive": 2}
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
@@ -118,45 +111,27 @@ def _build_parser():
 
 
 def _run_mode(instance: Instance, mode: str, delta: float, args):
-    """Run one solver mode; returns (result dict fragment, trace, exit code)."""
-    body, p = instance.body, instance.query_point
-    if mode == "heuristic":
-        if float(np.linalg.norm(p)) < TOL_ZERO:
-            trace = RunTrace(mode="heuristic", verdict="in_body")
-            return {"verdict": "in_body", "separator": None, "margin": None,
-                    "oracle_calls": 0, "iterations": 0,
-                    "reason": "origin_interior"}, trace, EXIT_IN_BODY
-        iters = args.max_iterations or 1000
-        start = time.perf_counter()
-        outcome = run_heuristic(body, p, HeuristicConfig(max_iterations=iters))
-        trace = heuristic_trace(outcome, wall_time=time.perf_counter() - start)
-        if outcome.inconclusive:
-            return {"verdict": "inconclusive", "separator": None, "margin": None,
-                    "oracle_calls": trace.oracle_calls,
-                    "iterations": outcome.iterations,
-                    "reason": "budget"}, trace, EXIT_INCONCLUSIVE
-        c, _, d = outcome.trace[-1]
-        linf = float(np.abs(c).max())
-        return {"verdict": "separated",
-                "separator": c / linf,
-                "margin": -d / linf,
-                "oracle_calls": trace.oracle_calls,
-                "iterations": outcome.iterations,
-                "reason": "separator"}, trace, EXIT_SEPARATED
-
-    run = heuristic_reduction if mode == "heuristic_reduction" else standard_reduction
+    """Run one solver mode; returns (result dict fragment, trace, exit code).
+    A SepoptError is a result too: its code and message, the trace it carries
+    (None when raised outside a run) and exit code 70."""
+    route = {"heuristic": correction_heuristic, "heuristic_reduction": heuristic_reduction,
+             "standard_reduction": standard_reduction}[mode]
     cfg = ReductionConfig(max_cuts=args.max_cuts, max_iterations=args.max_iterations)
-    verdict = run(body, p, delta, cfg)
+    try:
+        verdict = route(instance.body, instance.query_point, delta, cfg)
+    except SepoptError as exc:
+        return ({"error": {"code": type(exc).__name__, "message": str(exc)}},
+                exc.trace, EXIT_SOFTWARE)
+    trace = verdict.trace
     fragment = {
-        "verdict": "separated" if verdict.separated else "in_body",
+        "verdict": trace.verdict,
         "separator": verdict.separator,
         "margin": verdict.margin,
         "oracle_calls": verdict.oracle_calls,
         "iterations": verdict.iterations,
         "reason": verdict.reason,
     }
-    code = EXIT_SEPARATED if verdict.separated else EXIT_IN_BODY
-    return fragment, verdict.trace, code
+    return fragment, trace, EXIT_CODES[trace.verdict]
 
 
 def _tolerances(instance: Instance, delta: float) -> dict:
@@ -181,15 +156,12 @@ def _load_run(args):
 
 def cmd_separate(args) -> int:
     instance, mode, delta = _load_run(args)
-    result = {"schema_version": 1, "mode": mode}
-    try:
-        fragment, trace, code = _run_mode(instance, mode, delta, args)
-        result.update(fragment, delta=delta, trace_path=args.trace or None,
+    fragment, trace, code = _run_mode(instance, mode, delta, args)
+    result = {"schema_version": 1, "mode": mode, **fragment}
+    if code != EXIT_SOFTWARE:
+        result.update(delta=delta, trace_path=args.trace or None,
                       tolerances=_tolerances(instance, delta))
-    except SepoptError as exc:
-        # a failed run's trace (its rows up to the raise) is still written
-        trace, code = exc.trace, EXIT_SOFTWARE
-        result["error"] = {"code": type(exc).__name__, "message": str(exc)}
+    # a failed run's trace (its rows up to the raise) is still written
     if args.trace and trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(trace.to_dict(), indent=2) + "\n")
@@ -309,13 +281,14 @@ def cmd_trace2d(args) -> int:
         sys.stderr.write("sepopt: trace2d needs a 2-D instance, "
                          f"got dimension {instance.body.dimension}\n")
         return EXIT_USAGE
-    try:
-        _, trace, _ = _run_mode(instance, mode, delta, args)
-    except SepoptError as exc:
-        sys.stderr.write(f"sepopt: {type(exc).__name__}: {exc}\n")
-        return EXIT_SOFTWARE
-    write_trace2d_csv(trace, args.out)
-    return 0
+    fragment, trace, code = _run_mode(instance, mode, delta, args)
+    if code == EXIT_SOFTWARE:
+        error = fragment["error"]
+        sys.stderr.write(f"sepopt: {error['code']}: {error['message']}\n")
+    # as with separate --trace, a failed run's rows are written too
+    if trace is not None:
+        write_trace2d_csv(trace, args.out)
+    return EXIT_SOFTWARE if code == EXIT_SOFTWARE else 0
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,7 @@
-"""Two routes from separation to support-function optimization.
+"""Two routes from separation to support-function optimization, and the
+correction heuristic they are compared against.
 
-Both receive a query point p and a body known only through its support
+The routes receive a query point p and a body known only through its support
 oracle, and either certify a separating direction or declare p inside up to
 the accuracy delta.
 
@@ -30,9 +31,11 @@ import numpy as np
 
 from .analytic_center import CONIC_RESIDUAL_SCALE, Cut
 from .bodies import BodySpec, TOL_POLAR, TOL_ZERO, _as_vector, support
-from .cutting_plane import CutAnswer, FeasibilityProblem, Member, solve_feasibility
+from .cutting_plane import (CutAnswer, FeasibilityOutcome, FeasibilityProblem, Member,
+                            solve_feasibility)
 from .errors import DegenerateCut, SepoptError
-from .traces import RunTrace
+from .heuristic import HeuristicConfig, run_heuristic
+from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
 
@@ -128,17 +131,17 @@ def _verify_conic_rows(trace: RunTrace):
 
 def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
             search) -> SeparationVerdict:
-    """The verdict frame both routes share.
+    """The verdict frame of both routes and the correction heuristic.
 
     Checks the query point, declares the origin inside, fixes the size
-    floor and stamps the trace.  ``search(body, p, r_min, cfg)`` runs the
-    route's feasibility problem and returns its outcome.  Every support call
-    is made by an oracle answer, which reports it in its trace row, so the
-    rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
-    member, the final answer's query h is the separating functional and its
-    value v the support value, so the verdict is h in max-norm with margin
-    (h.p - v) / max|h|.  A SepoptError raised by the search carries its
-    trace, which is stamped with verdict "error".
+    floor, stamps the trace and logs one INFO line.  ``search(body, p, r_min,
+    cfg)`` runs the mode's search and returns its FeasibilityOutcome; every
+    support call is reported in a trace row, so the rows' ``support_calls``
+    sum to the verdict's ``oracle_calls``.  On a member, the final answer's
+    query h is the separating functional and its value v the support value,
+    so the verdict is h in max-norm with margin (h.p - v) / max|h|; reason
+    "budget" makes the verdict "inconclusive".  A SepoptError raised with a
+    trace has it stamped with verdict "error".
     """
     start_time = time.perf_counter()
 
@@ -157,13 +160,15 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
     try:
         outcome = search(body, p, r_min, cfg)
     except SepoptError as exc:
-        stamp(exc.trace, "error")
+        if exc.trace is not None:
+            stamp(exc.trace, "error")
         raise
 
     trace = outcome.trace
-    calls = stamp(trace, "separated" if outcome.feasible else "in_body")
-    logger.info("%s: %s after %d support calls", label,
-                "separated" if outcome.feasible else "in-body", calls)
+    verdict = ("separated" if outcome.feasible
+               else "inconclusive" if outcome.reason == "budget" else "in_body")
+    calls = stamp(trace, verdict)
+    logger.info("%s: %s after %d support calls", label, verdict.replace("_", "-"), calls)
     separator = margin = None
     if outcome.feasible:
         h, v = outcome.answer.query, outcome.answer.value
@@ -234,6 +239,33 @@ def _direction_search(body: BodySpec, p, r_min, cfg):
     ))
     _verify_conic_rows(outcome.trace)
     return outcome
+
+
+def correction_heuristic(body: BodySpec, p, delta: float,
+                         cfg: ReductionConfig = ReductionConfig()) -> SeparationVerdict:
+    """The correction heuristic (``heuristic.run_heuristic``) in the verdict frame.
+
+    At most ``cfg.max_iterations`` support queries (1000 when None), one
+    trace row each, and no size floor, so delta leaves the answer unchanged.
+    Out of budget it stops with reason "budget", verdict "inconclusive".
+    """
+    return _reduce("heuristic", "correction heuristic", body, p, delta, cfg,
+                   _correction_search)
+
+
+def _correction_search(body: BodySpec, p, r_min, cfg):
+    outcome = run_heuristic(body, p, HeuristicConfig(cfg.max_iterations or 1000))
+    trace = RunTrace(mode="heuristic", rows=[
+        TraceRow(iteration=i, query=c, oracle_answer="separator" if d < 0 else "dominated",
+                 support_point=k, support_gap=d, support_calls=1)
+        for i, (c, k, d) in enumerate(outcome.trace)])
+    if outcome.inconclusive:
+        return FeasibilityOutcome(False, None, outcome.iterations, "budget", trace)
+    c, k, _ = outcome.trace[-1]
+    # the value c.k, not the oracle's matrix-product value, gives the frame's
+    # margin (c.p - c.k) / max|c| the bits of -d / max|c|
+    return FeasibilityOutcome(True, c, outcome.iterations, "member", trace,
+                              answer=Member(query=c, value=float(c @ k)))
 
 
 def separate_polar(body: BodySpec, y) -> Member | CutAnswer:

@@ -54,17 +54,6 @@ class RunTrace:
         return asdict(self)
 
 
-def heuristic_trace(outcome, wall_time=0.0) -> RunTrace:
-    """Convert a HeuristicOutcome into the common trace format."""
-    rows = [TraceRow(iteration=i, query=c,
-                     oracle_answer="separator" if d < 0 else "dominated",
-                     support_point=k, support_gap=d, support_calls=1)
-            for i, (c, k, d) in enumerate(outcome.trace)]
-    return RunTrace(mode="heuristic",
-                    verdict="inconclusive" if outcome.inconclusive else "separated",
-                    oracle_calls=len(rows), wall_time=wall_time, rows=rows)
-
-
 def _write_csv(path, columns, rows):
     """A header line, then one line per row of values in ``columns`` order.
 

@@ -203,6 +203,17 @@ def test_random_instance_outside_margin_verified():
     assert dist >= 0.2
 
 
+def test_distance_does_not_stop_on_an_away_atom_of_zero_weight():
+    # a full toward step leaves the older atoms at weight 0.0; an away step
+    # from one of them has no room (gamma_max 0) and must not end the
+    # iteration at an unconverged iterate
+    body, p = random_instance(2, 6, 144, place="outside", margin=0.05)
+    exact = polygon_distance_2d(body.variant.vertices, p)
+    assert exact >= 0.05
+    dist, _ = distance_to_body(body, p)
+    assert dist == pytest.approx(exact, abs=1e-8)
+
+
 def test_random_instance_inside_margin_verified():
     body, p = random_instance(3, 8, 1, place="inside", margin=0.1)
     rng = np.random.default_rng(99)

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -478,6 +479,22 @@ def test_trace2d_interior_runs_until_floor(tmp_path):
     assert all(r["cut_ax"] != "" for r in rows)
 
 
+def test_trace2d_writes_the_rows_of_a_run_that_raises(tmp_path, capsys):
+    argv = ["--instance", str(WORKED_INSIDE), "--mode", "standard", "--delta", "1e-4"]
+    trace_path, out_csv = tmp_path / "trace.json", tmp_path / "t.csv"
+    assert main(["separate", *argv, "--trace", str(trace_path)]) == 70
+    capsys.readouterr()
+    assert main(["trace2d", *argv, "--out", str(out_csv)]) == 70
+    assert capsys.readouterr().err.startswith("sepopt: NoConvergence: ")
+    rows = json.loads(trace_path.read_text())["rows"]
+    with open(out_csv) as fh:
+        lines = list(csv.DictReader(fh))
+    assert len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        assert int(line["iteration"]) == row["iteration"]
+        assert [float(line["center_x"]), float(line["center_y"])] == row["center"]
+
+
 def test_trace2d_rejects_other_dimensions(tmp_path, capsys):
     body, p = random_instance(3, 6, 11, place="outside", margin=0.2)
     path = tmp_path / "n3.json"
@@ -508,6 +525,33 @@ def test_separate_ball_instance(capsys):
     assert code == 0
     assert out["separator"] == pytest.approx([0.0, 1.0], abs=1e-12)
     assert out["margin"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "ours", "standard"])
+def test_separate_logs_one_info_summary_line(mode, caplog, capsys):
+    caplog.set_level(logging.INFO, logger="sepopt")
+    for instance in (WORKED_OUTSIDE, WORKED_INSIDE):
+        caplog.clear()
+        main(["separate", "--instance", str(instance), "--mode", mode,
+              "--max-iterations", "40"])
+        info = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert len(info) == 1
+        assert "support calls" in info[0].getMessage()
+
+
+def test_separate_heuristic_error_outside_a_run_writes_no_trace(tmp_path, capsys):
+    instance = load_instance(WORKED_INSIDE)
+    vertex = tmp_path / "vertex.json"
+    dump_instance(Instance(instance.body, np.array([-1.0, 1.0]), instance.delta), vertex)
+    trace_path = tmp_path / "trace.json"
+    code = main(["separate", "--instance", str(vertex), "--mode", "heuristic",
+                 "--trace", str(trace_path)])
+    assert code == 70
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": 1, "mode": "heuristic",
+        "error": {"code": "DegenerateUpdate",
+                  "message": "query point coincides with the support maximizer"}}
+    assert not trace_path.exists()
 
 
 def test_separate_writes_heuristic_trace(tmp_path, capsys):

@@ -3,20 +3,24 @@ import pytest
 
 from sepopt import (
     FeasibilityProblem,
+    HeuristicConfig,
     Member,
+    ReductionConfig,
     ball,
     correction_cut,
     distance_to_body,
     heuristic_reduction,
     random_instance,
+    run_heuristic,
     separate_polar,
     separate_polar_slice,
     solve_feasibility,
     standard_reduction,
     support,
 )
-from sepopt.errors import DegenerateCut, DimensionMismatch
+from sepopt.errors import DegenerateCut, DegenerateUpdate, DimensionMismatch
 from sepopt.instances import dumps_canonical
+from sepopt.reductions import correction_heuristic
 
 from conftest import WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT
 
@@ -227,6 +231,42 @@ def test_standard_reduction_origin_query(worked_body):
     verdict = standard_reduction(worked_body, np.zeros(2), 1e-3)
     assert not verdict.separated
     assert verdict.reason == "origin_interior"
+
+
+# ------------------------------------------------------ correction heuristic
+
+def test_correction_heuristic_out_of_budget_is_inconclusive(worked_body):
+    cfg = ReductionConfig(max_iterations=40)
+    verdict = correction_heuristic(worked_body, WORKED_INSIDE_POINT, 1e-3, cfg)
+    assert not verdict.separated
+    assert verdict.separator is None and verdict.margin is None
+    assert verdict.reason == "budget"
+    assert verdict.trace.verdict == "inconclusive"
+    assert verdict.oracle_calls == verdict.iterations == len(verdict.trace.rows) == 40
+
+
+def test_correction_heuristic_certifies_the_last_query_bitwise(worked_body):
+    verdict = correction_heuristic(worked_body, WORKED_OUTSIDE_POINT, 1e-3)
+    c, _, d = run_heuristic(worked_body, WORKED_OUTSIDE_POINT, HeuristicConfig(1000)).trace[-1]
+    linf = float(np.abs(c).max())
+    assert verdict.separated and verdict.reason == "separator"
+    assert verdict.trace.verdict == "separated"
+    assert np.array_equal(verdict.separator, c / linf)
+    assert verdict.margin == -d / linf
+
+
+def test_correction_heuristic_origin_query(worked_body):
+    verdict = correction_heuristic(worked_body, np.zeros(2), 1e-3)
+    assert not verdict.separated
+    assert verdict.reason == "origin_interior"
+    assert verdict.oracle_calls == 0 and verdict.trace.verdict == "in_body"
+
+
+def test_correction_heuristic_error_outside_a_run_carries_no_trace(worked_body):
+    # at the vertex (-1, 1) the first query's maximizer is p itself
+    with pytest.raises(DegenerateUpdate) as info:
+        correction_heuristic(worked_body, np.array([-1.0, 1.0]), 1e-3)
+    assert info.value.trace is None
 
 
 # ------------------------------------------------------- cross validation
