@@ -29,7 +29,7 @@ from .bodies import (
     support,
     vertex_polytope,
 )
-from .cutting_plane import CutAnswer, FeasibilityProblem, Member, solve_feasibility
+from .cutting_plane import CutAnswer, FeasibilityProblem, Member, Witness, solve_feasibility
 from .heuristic import HeuristicConfig, run_heuristic
 from .instances import Instance, dump_instance, load_instance
 from .reductions import (
@@ -50,7 +50,7 @@ __all__ = [
     "Cut", "OuterApprox", "add_cut", "analytic_center", "barrier_gradient",
     "barrier_hessian", "barrier_value", "drop_least_binding",
     "inscribed_radius_estimate",
-    "CutAnswer", "FeasibilityProblem", "Member", "solve_feasibility",
+    "CutAnswer", "FeasibilityProblem", "Member", "Witness", "solve_feasibility",
     "ReductionConfig", "correction_cut", "heuristic_reduction", "separate_polar",
     "separate_polar_slice", "standard_reduction",
     "Instance", "dump_instance", "load_instance",

@@ -6,7 +6,8 @@ halt on membership, otherwise shrink the region with the returned cut and
 repeat until the region's inscribed radius falls under the size floor or the
 iteration budget runs out.
 
-Oracles answer with a Member or a CutAnswer {x : normal.x >= offset}.  Cuts
+Oracles answer with a Member, a CutAnswer {x : normal.x >= offset}, or a
+Witness, the client's certificate that the run can stop with no cut.  Cuts
 are applied centrally: the kept halfspace passes through the queried center,
 capped by the certified offset (the trace names the cut shallow when that
 cap binds, central otherwise).  The next centring starts from the old center
@@ -17,7 +18,7 @@ every slack positive.
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class Member:
     ``value`` is the support value at ``query`` when one was queried.
     """
 
+    kind: ClassVar[str] = "member"
     query: np.ndarray | None = None
     value: float | None = None
     support_point: np.ndarray | None = None
@@ -59,8 +61,21 @@ class Member:
 class CutAnswer:
     """Oracle assertion that the target set lies in {x : normal.x >= offset}."""
 
+    kind: ClassVar[str] = "cut"
     normal: np.ndarray
     offset: float = 0.0
+    query: np.ndarray | None = None
+    support_point: np.ndarray | None = None
+    support_gap: float | None = None
+    support_calls: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """The oracle's certificate ``point`` that the run may stop; report fields as Member's."""
+
+    kind: ClassVar[str] = "witness"
+    point: np.ndarray
     query: np.ndarray | None = None
     support_point: np.ndarray | None = None
     support_gap: float | None = None
@@ -72,9 +87,9 @@ class FeasibilityProblem:
     """Inputs for one feasibility run.
 
     ``oracle`` maps a strictly interior point of the current region to a
-    Member or CutAnswer; it must be pure (the harness may run many engines
-    concurrently).  ``r_min`` is the size floor under which the region is
-    declared empty.  Defaults: ``max_cuts`` = max(30, 5n) and
+    Member, CutAnswer or Witness; it must be pure (the harness may run many
+    engines concurrently).  ``r_min`` is the size floor under which the
+    region is declared empty.  Defaults: ``max_cuts`` = max(30, 5n) and
     ``max_iterations`` = 64 n log2(initial_radius / r_min).
     """
 
@@ -108,10 +123,10 @@ class FeasibilityOutcome:
     feasible: bool
     point: np.ndarray | None
     iterations: int
-    reason: str  # "member" | "size_floor" | "iteration_budget" | "empty_interior"
+    reason: str  # "member" | "witness" | "size_floor" | "iteration_budget" | "empty_interior"
     trace: RunTrace
     region: OuterApprox | None = None
-    answer: Member | None = None  # the oracle's final answer on a member
+    answer: Member | Witness | None = None  # the oracle's final answer on either
 
 
 def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
@@ -134,14 +149,12 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
 
             iterations += 1
             answer = problem.oracle(omega)
-            member = isinstance(answer, Member)
-            logger.debug("iter %d: inradius %.3e, %s", iterations, est,
-                         "member" if member else "cut")
+            logger.debug("iter %d: inradius %.3e, %s", iterations, est, answer.kind)
             row = TraceRow(
                 iteration=iterations,
                 center=omega,
                 query=omega if answer.query is None else answer.query,
-                oracle_answer="member" if member else "cut",
+                oracle_answer=answer.kind,
                 support_point=answer.support_point,
                 support_gap=answer.support_gap,
                 support_calls=answer.support_calls,
@@ -150,8 +163,10 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
                 conic_residual=conic_residual(P, omega, lambdas),
             )
             trace.rows.append(row)
-            if member:
+            if isinstance(answer, Member):
                 return FeasibilityOutcome(True, omega, iterations, "member", trace, P, answer)
+            if isinstance(answer, Witness):
+                return FeasibilityOutcome(False, None, iterations, "witness", trace, P, answer)
 
             cut = Cut(answer.normal, answer.offset)
             # central placement, capped by the certified offset so a float-dust

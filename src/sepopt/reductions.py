@@ -10,6 +10,8 @@ the region of separating directions, coned to the origin, is trapped inside
 a shrinking ball-plus-halfspaces region whose analytic center is always a
 nonnegative combination of the cut normals.  That conic property is exactly
 what makes each correction cut valid, so it is checked on every iteration.
+A failed query with p - k_c parallel to c gives no cut; the segment [0, k_c]
+lies in the body, and its point nearest p, if within delta of p, is a witness.
 
 The standard route runs feasibility over the polar slice
 {c : c.x <= 1 on the body} intersected with {c : p.c >= 1}: any point of that
@@ -17,7 +19,7 @@ set gives a separating plane {x : c.x = 1}, and one support query per probe
 serves as its separation oracle.
 
 Both oracles call the module's ``support`` themselves and answer in the
-engine's own types (Member or CutAnswer), each reporting its support calls;
+engine's own types (Member, CutAnswer, Witness) with their support calls;
 the final Member carries the verdict's functional (its query) and support
 value, which the shared verdict frame reads off the outcome.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from .analytic_center import CONIC_RESIDUAL_SCALE, Cut
 from .bodies import BodySpec, TOL_POLAR, TOL_ZERO, _as_vector, support
 from .cutting_plane import (CutAnswer, FeasibilityOutcome, FeasibilityProblem, Member,
-                            solve_feasibility)
+                            Witness, solve_feasibility)
 from .errors import DegenerateCut, SepoptError
 from .heuristic import HeuristicConfig, run_heuristic
 from .traces import RunTrace, TraceRow
@@ -40,7 +42,6 @@ from .traces import RunTrace, TraceRow
 logger = logging.getLogger(__name__)
 
 CONIC_LAMBDA_FLOOR = -1e-9
-MAX_DEGENERATE_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,6 @@ def correction_cut(c, p, k_c) -> Cut:
     return Cut(a_bar / norm, 0.0)
 
 
-def _perturb_orthogonal(c, rng, scale=1e-8):
-    """Nudge a unit vector by ``scale`` in a random orthogonal direction."""
-    n = c.shape[0]
-    for _ in range(16):
-        v = rng.normal(size=n)
-        v = v - float(v @ c) * c
-        vnorm = float(np.linalg.norm(v))
-        if vnorm > 1e-6:
-            out = c + scale * v / vnorm
-            return out / float(np.linalg.norm(out))
-    raise DegenerateCut("could not build an orthogonal perturbation")
-
-
 def _verify_conic_rows(trace: RunTrace):
     for row in trace.rows:
         failure = None
@@ -134,14 +122,14 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
     """The verdict frame of both routes and the correction heuristic.
 
     Checks the query point, declares the origin inside, fixes the size
-    floor, stamps the trace and logs one INFO line.  ``search(body, p, r_min,
-    cfg)`` runs the mode's search and returns its FeasibilityOutcome; every
-    support call is reported in a trace row, so the rows' ``support_calls``
-    sum to the verdict's ``oracle_calls``.  On a member, the final answer's
-    query h is the separating functional and its value v the support value,
-    so the verdict is h in max-norm with margin (h.p - v) / max|h|; reason
-    "budget" makes the verdict "inconclusive".  A SepoptError raised with a
-    trace has it stamped with verdict "error".
+    floor, stamps the trace and logs one INFO line.  ``search(body, p,
+    delta, r_min, cfg)`` runs the mode's search and returns its
+    FeasibilityOutcome; every support call is reported in a trace row, so the
+    rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
+    member, the final answer's query h is the separating functional and its
+    value v the support value, so the verdict is h in max-norm with margin
+    (h.p - v) / max|h|; reason "budget" makes the verdict "inconclusive".  A
+    SepoptError raised with a trace has it stamped with verdict "error".
     """
     start_time = time.perf_counter()
 
@@ -158,7 +146,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
     try:
-        outcome = search(body, p, r_min, cfg)
+        outcome = search(body, p, delta, r_min, cfg)
     except SepoptError as exc:
         if exc.trace is not None:
             stamp(exc.trace, "error")
@@ -191,42 +179,38 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
     support query adds a correction cut.  Success means the queried direction
     c = center/|center| satisfies c.k_c < c.p, which is certified back to the
     caller with max-norm normalization.  The in-body declaration fires at the
-    size floor r_min(delta) or on budget exhaustion.
+    size floor r_min(delta), on budget exhaustion, or on a witness.
     """
     return _reduce("heuristic_reduction", "direction search", body, p, delta, cfg,
                    _direction_search)
 
 
-def _direction_search(body: BodySpec, p, r_min, cfg):
+def _direction_search(body: BodySpec, p, delta, r_min, cfg):
     axis = p / float(np.linalg.norm(p))
-    # a fixed generator: a verdict depends on (body, p, delta) alone
-    rng = np.random.default_rng(0)
 
     def adapter(omega):
         # the engine queries only when its radius estimate est >= r_min > 0,
         # and est counts the axis cut's slack axis.omega <= |omega|, so
         # omega is never the origin
         c = omega / float(np.linalg.norm(omega))
-        calls = 0
-        for _ in range(MAX_DEGENERATE_RETRIES + 1):
-            res = support(body, c)
-            calls += 1
-            d = float(c @ res.maximizer - c @ p)
-            if d < 0.0:
-                return Member(query=c, value=res.value, support_point=res.maximizer,
-                              support_gap=d, support_calls=calls)
-            try:
-                cut = correction_cut(c, p, res.maximizer)
-            except DegenerateCut:
-                c = _perturb_orthogonal(c, rng)
-                continue
-            # the certified halfspace passes through the origin (offset 0);
-            # the engine re-offsets it centrally around the center
-            return CutAnswer(cut.normal, offset=0.0, query=c,
-                             support_point=res.maximizer, support_gap=d,
-                             support_calls=calls)
-        raise DegenerateCut(
-            f"no usable cut after {MAX_DEGENERATE_RETRIES} perturbations")
+        res = support(body, c)
+        k = res.maximizer
+        d = float(c @ k - c @ p)
+        if d < 0.0:
+            return Member(query=c, value=res.value, support_point=k, support_gap=d,
+                          support_calls=1)
+        try:
+            cut = correction_cut(c, p, k)
+        except DegenerateCut:
+            # 0 and k lie in the body, so the segment [0, k] does too: its
+            # nearest point to p is an in-body witness when within delta
+            x = min(max(float(p @ k) / float(k @ k), 0.0), 1.0) * k
+            if float(np.linalg.norm(x - p)) > delta:
+                raise
+            return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
+        # the certified halfspace passes through the origin (offset 0);
+        # the engine re-offsets it centrally around the center
+        return CutAnswer(cut.normal, query=c, support_point=k, support_gap=d, support_calls=1)
 
     outcome = solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
@@ -253,7 +237,7 @@ def correction_heuristic(body: BodySpec, p, delta: float,
                    _correction_search)
 
 
-def _correction_search(body: BodySpec, p, r_min, cfg):
+def _correction_search(body: BodySpec, p, delta, r_min, cfg):
     outcome = run_heuristic(body, p, HeuristicConfig(cfg.max_iterations or 1000))
     trace = RunTrace(mode="heuristic", rows=[
         TraceRow(iteration=i, query=c, oracle_answer="separator" if d < 0 else "dominated",
@@ -314,7 +298,7 @@ def standard_reduction(body: BodySpec, p, delta: float,
     return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 
 
-def _polar_search(body: BodySpec, p, r_min, cfg):
+def _polar_search(body: BodySpec, p, delta, r_min, cfg):
     return solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
         oracle=lambda y: separate_polar_slice(body, p, y),

@@ -11,6 +11,10 @@ WORKED_VERTICES = [[0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [1.0, -2.0]]
 WORKED_POLAR_VERTICES = [[0.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [3.0, 1.0]]
 WORKED_OUTSIDE_POINT = np.array([-7.0 / 8.0, -3.0 / 4.0])
 WORKED_INSIDE_POINT = np.array([-0.5, 0.5])
+# WORKED_INSIDE_POINT lies on the segment from the origin to the vertex
+# (-1, 1), so the direction search's first query certifies it in-body at once;
+# this inside point makes the search cut until the size floor instead
+WORKED_CUTTING_INSIDE_POINT = np.array([-0.4, 0.45])
 WORKED_INNER_RADIUS = 1.0 / np.sqrt(10.0)
 
 

@@ -23,9 +23,19 @@ from sepopt.cli import compare_corpus, compare_one, main
 from sepopt.errors import InstanceFormatError, NoConvergence
 from sepopt.instances import dumps_canonical, parse_instance
 
+from conftest import WORKED_CUTTING_INSIDE_POINT
+
 DATA = Path(__file__).parent / "data"
 WORKED_OUTSIDE = DATA / "worked2d_outside.json"
 WORKED_INSIDE = DATA / "worked2d_inside.json"
+
+
+def worked_instance_at(tmp_path, point):
+    """The worked polytope and delta with ``point`` as the query, written under tmp_path."""
+    instance = load_instance(WORKED_INSIDE)
+    path = tmp_path / "worked_at.json"
+    dump_instance(Instance(instance.body, np.asarray(point, dtype=float), instance.delta), path)
+    return path
 
 
 def run_cli(*argv, capsys=None):
@@ -280,9 +290,13 @@ def test_separate_writes_trace(tmp_path, capsys):
                         "cut_normal", "cut_offset", "cut_kind", "inradius"}
 
 
-@pytest.mark.parametrize("mode, delta", [("ours", "1e-13"), ("standard", "1e-4")])
-def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, tmp_path, capsys):
-    argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", mode, "--delta", delta]
+@pytest.mark.parametrize("mode, delta, point", [
+    pytest.param("ours", "1e-13", WORKED_CUTTING_INSIDE_POINT, id="ours-1e-13"),
+    pytest.param("standard", "1e-4", [-0.5, 0.5], id="standard-1e-4"),
+])
+def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, point, tmp_path, capsys):
+    path = worked_instance_at(tmp_path, point)
+    argv = ["separate", "--instance", str(path), "--mode", mode, "--delta", delta]
     assert main(argv) == 70
     plain = capsys.readouterr().out
     trace_path = tmp_path / "trace.json"
@@ -470,8 +484,8 @@ def test_trace2d_single_row_for_worked_outside(tmp_path):
 
 def test_trace2d_interior_runs_until_floor(tmp_path):
     out_csv = tmp_path / "t.csv"
-    code = main(["trace2d", "--instance", str(WORKED_INSIDE), "--mode", "ours",
-                 "--out", str(out_csv)])
+    path = worked_instance_at(tmp_path, WORKED_CUTTING_INSIDE_POINT)
+    code = main(["trace2d", "--instance", str(path), "--mode", "ours", "--out", str(out_csv)])
     assert code == 0
     with open(out_csv) as fh:
         rows = list(csv.DictReader(fh))
@@ -540,9 +554,7 @@ def test_separate_logs_one_info_summary_line(mode, caplog, capsys):
 
 
 def test_separate_heuristic_error_outside_a_run_writes_no_trace(tmp_path, capsys):
-    instance = load_instance(WORKED_INSIDE)
-    vertex = tmp_path / "vertex.json"
-    dump_instance(Instance(instance.body, np.array([-1.0, 1.0]), instance.delta), vertex)
+    vertex = worked_instance_at(tmp_path, [-1.0, 1.0])
     trace_path = tmp_path / "trace.json"
     code = main(["separate", "--instance", str(vertex), "--mode", "heuristic",
                  "--trace", str(trace_path)])
@@ -552,6 +564,24 @@ def test_separate_heuristic_error_outside_a_run_writes_no_trace(tmp_path, capsys
         "error": {"code": "DegenerateUpdate",
                   "message": "query point coincides with the support maximizer"}}
     assert not trace_path.exists()
+
+
+def test_separate_ours_declares_a_vertex_in_body_after_one_call(tmp_path, capsys):
+    # the first query c = p/|p| has the vertex p itself as its support point:
+    # p - k_c = 0 admits no correction cut, and p = k_c is its own witness
+    vertex = worked_instance_at(tmp_path, [-1.0, 1.0])
+    trace_path = tmp_path / "trace.json"
+    code = main(["separate", "--instance", str(vertex), "--mode", "ours",
+                 "--trace", str(trace_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (out["verdict"], out["reason"], out["oracle_calls"]) == ("in_body", "witness", 1)
+    trace = json.loads(trace_path.read_text())
+    assert trace["oracle_calls"] == 1
+    [row] = trace["rows"]
+    assert row["oracle_answer"] == "witness"
+    assert row["support_point"] == [-1.0, 1.0]
+    assert row["cut_normal"] is None
 
 
 def test_separate_writes_heuristic_trace(tmp_path, capsys):

@@ -8,6 +8,7 @@ from sepopt import (
     CutAnswer,
     FeasibilityProblem,
     Member,
+    Witness,
     solve_feasibility,
 )
 
@@ -67,6 +68,19 @@ def test_feasible_verdict_is_member_certified_in_trace():
     last = out.trace.rows[-1]
     assert last.oracle_answer == "member"
     assert np.allclose(last.center, out.point)
+
+
+def test_witness_answer_stops_the_run_without_a_cut():
+    witness = np.array([0.25, 0.5])
+    answers = iter([CutAnswer(np.array([1.0, 0.0])), Witness(witness, support_calls=1)])
+    out = solve_feasibility(FeasibilityProblem(2, lambda w: next(answers), r_min=1e-4))
+    assert not out.feasible
+    assert (out.reason, out.iterations) == ("witness", 2)
+    assert out.point is None and out.answer.point is witness
+    assert [row.oracle_answer for row in out.trace.rows] == ["cut", "witness"]
+    assert out.trace.rows[-1].cut_normal is None
+    assert out.trace.rows[-1].support_calls == 1
+    assert len(out.region.cuts) == 1
 
 
 def test_every_queried_center_is_strictly_interior():

@@ -17,12 +17,13 @@ from sepopt import (
     solve_feasibility,
     standard_reduction,
     support,
+    vertex_polytope,
 )
 from sepopt.errors import DegenerateCut, DegenerateUpdate, DimensionMismatch
-from sepopt.instances import dumps_canonical
 from sepopt.reductions import correction_heuristic
 
-from conftest import WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT
+from conftest import (WORKED_CUTTING_INSIDE_POINT, WORKED_INNER_RADIUS, WORKED_INSIDE_POINT,
+                      WORKED_OUTSIDE_POINT, WORKED_VERTICES)
 
 
 # ---------------------------------------------------------- correction cuts
@@ -109,7 +110,7 @@ def test_direction_search_separates_worked_point_in_one_call(worked_body):
 def test_direction_search_declares_interior_point(worked_body):
     verdict = heuristic_reduction(worked_body, WORKED_INSIDE_POINT, 1e-3)
     assert not verdict.separated
-    assert verdict.reason in ("size_floor", "iteration_budget")
+    assert verdict.reason in ("witness", "size_floor", "iteration_budget")
     dist, _ = distance_to_body(worked_body, WORKED_INSIDE_POINT, tol=1e-8)
     assert dist == 0.0
 
@@ -130,7 +131,7 @@ def test_direction_search_origin_query_is_in_body(worked_body):
 
 
 def test_direction_search_conic_certificate_logged(worked_body):
-    verdict = heuristic_reduction(worked_body, WORKED_INSIDE_POINT, 1e-3)
+    verdict = heuristic_reduction(worked_body, WORKED_CUTTING_INSIDE_POINT, 1e-3)
     rows = [r for r in verdict.trace.rows if r.lambda_min is not None]
     assert rows
     for row in rows:
@@ -342,10 +343,11 @@ def test_direction_search_region_invariants(worked_body):
     # the final region's first cut is the protected hemisphere cut
     # a1 = p/|p| with offset min(depth, 0); every later cut came from
     # correction_cut, hence is orthogonal to the direction queried that round
-    verdict = heuristic_reduction(worked_body, WORKED_INSIDE_POINT, 1e-3)
+    verdict = heuristic_reduction(worked_body, WORKED_CUTTING_INSIDE_POINT, 1e-3)
     region = verdict.region
     assert region is not None
-    p_unit = WORKED_INSIDE_POINT / np.linalg.norm(WORKED_INSIDE_POINT)
+    assert verdict.reason == "size_floor"
+    p_unit = WORKED_CUTTING_INSIDE_POINT / np.linalg.norm(WORKED_CUTTING_INSIDE_POINT)
     first = region.cuts[0]
     assert first.protected
     assert np.allclose(first.normal, p_unit, atol=1e-15)
@@ -359,31 +361,83 @@ def test_direction_search_region_invariants(worked_body):
             continue
         c = np.array(row.query)
         k = np.array(row.support_point)
-        diff = WORKED_INSIDE_POINT - k
+        diff = WORKED_CUTTING_INSIDE_POINT - k
         a_bar = diff - float(c @ diff) * c
         expected = a_bar / np.linalg.norm(a_bar)
         assert np.array_equal(np.array(row.cut_normal), expected)
         assert row.cut_offset <= 1e-15
 
 
-def test_degenerate_cut_perturbation_recovers():
-    from sepopt import vertex_polytope
+DIAMOND = [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -0.5]]
 
-    # axis-aligned diamond; querying an interior point on the long axis makes
-    # p - k_c parallel to the first direction, forcing the perturbation path
-    diamond = vertex_polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -0.5]],
-                              inner_radius=0.44)
-    verdict = heuristic_reduction(diamond, np.array([0.5, 0.0]), 1e-3)
-    assert not verdict.separated
-    retried = [r for r in verdict.trace.rows if r.support_calls > 1]
-    assert retried, "expected at least one degenerate-cut retry"
-    # the perturbations follow one fixed sequence, so the verdict is a
-    # function of (body, p, delta): a second run repeats every row bit for bit
-    assert verdict.oracle_calls == 14
-    again = heuristic_reduction(diamond, np.array([0.5, 0.0]), 1e-3)
-    assert again.oracle_calls == 14
-    assert dumps_canonical(again.trace.to_dict()["rows"]) == \
-        dumps_canonical(verdict.trace.to_dict()["rows"])
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("vertices, inner_radius, p", [
+    (DIAMOND, 0.44, [0.5, 0.0]),
+    (WORKED_VERTICES, WORKED_INNER_RADIUS, WORKED_INSIDE_POINT),
+], ids=["diamond", "worked2d_inside"])
+def test_degenerate_first_query_is_an_in_body_witness(vertices, inner_radius, p, delta):
+    # p lies on the segment from the origin to the support point k of its own
+    # direction, so p - k is parallel to the query and admits no correction
+    # cut; the segment [0, k] lies in the body and passes through p
+    body = vertex_polytope(vertices, inner_radius=inner_radius)
+    p = np.asarray(p, dtype=float)
+    verdict = heuristic_reduction(body, p, delta)
+    assert (verdict.trace.verdict, verdict.reason) == ("in_body", "witness")
+    assert verdict.oracle_calls == 1
+    [row] = verdict.trace.rows
+    assert row.oracle_answer == "witness"
+    assert row.cut_normal is None
+    assert np.allclose(row.query, p / np.linalg.norm(p), rtol=0.0, atol=1e-12)
+
+
+def test_degenerate_query_beyond_delta_of_its_segment_raises(worked_body, monkeypatch):
+    # forced degenerate: the first query's support point is the vertex (-1, 1),
+    # whose segment from the origin passes 0.025 sqrt(2) from p = (-0.4, 0.45)
+    import sepopt.reductions as red
+
+    def degenerate(c, p, k_c):
+        raise DegenerateCut("forced")
+
+    monkeypatch.setattr(red, "correction_cut", degenerate)
+    p = WORKED_CUTTING_INSIDE_POINT
+    verdict = red.heuristic_reduction(worked_body, p, 0.05)
+    assert (verdict.reason, verdict.oracle_calls) == ("witness", 1)
+    assert verdict.trace.rows[0].support_point.tolist() == [-1.0, 1.0]
+    with pytest.raises(DegenerateCut) as info:
+        red.heuristic_reduction(worked_body, p, 0.03)
+    # the raising query is in no row
+    assert (info.value.trace.verdict, info.value.trace.rows) == ("error", [])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_degenerate_witness_is_a_certificate(n, seed):
+    # p = t v for a vertex v that is its own support point in direction v/|v|:
+    # the first query is degenerate, and the witness must be a point of the
+    # hull on the ray through v within delta of p
+    from scipy.spatial import ConvexHull
+
+    body, _ = random_instance(n, n + 4, seed, place="inside", margin=0.1)
+    verts = body.variant.vertices
+    hull = ConvexHull(verts)
+    own = [v for i, v in enumerate(verts) if np.argmax(verts @ v) == i]
+    assert own
+    for v in own:
+        for t in (0.3, 0.9, 1.0):
+            p = t * v
+            for delta in (1e-3, 1e-13):
+                verdict = heuristic_reduction(body, p, delta)
+                assert verdict.reason == "witness"
+                # the witness, recomputed from the row: the point of [0, k] nearest p
+                [row] = verdict.trace.rows
+                k = row.support_point
+                x = min(max(float(p @ k) / float(k @ k), 0.0), 1.0) * k
+                t_x = float(x @ v) / float(v @ v)
+                assert 0.0 <= t_x <= 1.0
+                assert np.allclose(x, t_x * v, rtol=0.0, atol=1e-15)
+                assert (hull.equations[:, :-1] @ x + hull.equations[:, -1]).max() <= 1e-12
+                assert float(np.linalg.norm(x - p)) <= delta
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-13])
