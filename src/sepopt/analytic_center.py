@@ -20,9 +20,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from .bodies import TOL_ZERO
+from .bodies import TOL_ZERO, _potrf, _potrs
 from .errors import CannotDrop, EmptyInterior, NoConvergence, NotInterior, ZeroDirection
 
 logger = logging.getLogger(__name__)
@@ -33,10 +32,6 @@ CONIC_RESIDUAL_SCALE = 1e-7   # certificate: |omega - sum lambda_i a_i| <= scale
 PURE_PHASE = 0.25        # decrement below which full Newton steps are safe
 ARMIJO = 0.01
 MAX_NEWTON_ITERS = 200
-
-# the double-precision Cholesky factor and solve behind scipy's cho_factor and
-# cho_solve, called directly to skip their per-call wrapping
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,22 @@
-"""Convex test bodies, their support oracles, and a brute-force distance oracle.
+"""Convex test bodies, their support oracles, a brute-force distance oracle
+and the in-body witness kernel.
 
 Every body lives in R^n, contains an origin-centered ball of radius
 ``inner_radius`` and is contained in the origin-centered ball of radius
 ``outer_radius``.  The support oracle ``support(body, c)`` (maximize c.x over
 the body) is the only primitive the separation routines may call; the
 Frank-Wolfe distance oracle built on top of it is the independent ground
-truth used for verification and benchmarking.
+truth used for verification and benchmarking.  ``HullWitness`` searches the
+points of the body a run has already seen (its support maximizers and the
+inner ball) for one within delta of a query point, with Wolfe's
+nearest-point method; such a point certifies an in-body verdict.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -24,6 +30,10 @@ from .errors import (
 TOL_SUPPORT = 1e-12
 TOL_POLAR = 1e-9
 TOL_ZERO = 1e-12
+
+# the double-precision Cholesky factor and solve behind scipy's cho_factor and
+# cho_solve, called directly to skip their per-call wrapping
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def _as_vector(x, n, name="vector"):
@@ -216,7 +226,8 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
     Frank-Wolfe iteration with away steps and exact line search, driven
     entirely by the support oracle (Gilbert's minimum-distance scheme).  The
     returned distance is within ``tol`` of the true distance; a returned 0.0
-    certifies that p is within ``tol`` of the body.
+    certifies that p is within max(tol, TOL_ZERO) of the body (closer than
+    TOL_ZERO, the residual is too short to query the support oracle with).
 
     Returns (distance, witness).  Raises NoConvergence, carrying the last
     iterate (a point of the body) as ``last_point``, if the duality gap fails
@@ -234,7 +245,7 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
     for it in range(max_iterations):
         g = x - p
         dist = float(np.linalg.norm(g))
-        if dist <= tol:
+        if dist <= max(tol, TOL_ZERO):
             return 0.0, x
         fw = support(body, -g)
         s = fw.maximizer
@@ -291,6 +302,145 @@ def distance_to_body(body: BodySpec, p, tol=1e-7, max_iterations=50000):
     raise NoConvergence(
         f"distance iteration did not reach tol={tol} in {max_iterations} steps",
         last_point=x)
+
+
+class HullWitness:
+    """Points of the body seen so far, searched for one within delta of p.
+
+    Support maximizers are points of the body, and so is the ball B(0, r0)
+    of its inner radius, so every point x of H = conv(k_1..k_m, B(0, r0))
+    lies in the body, and |x - p| <= delta certifies dist(p, body) <= delta
+    (an accuracy certificate in the sense of Nemirovski, Onn and Rothblum,
+    Math. Oper. Res. 35, 2010).  ``add(k)`` records one more point and
+    returns such an x, or None.
+
+    The search is Wolfe's nearest-point method (Math. Programming 11, 1976)
+    over the recorded atoms.  Its corral (at most n + 1 affinely independent
+    atoms, with positive weights, whose affine hull's point nearest p is x)
+    is kept from one call to the next, and the ball enters as an atom r0 u
+    along the residual u = (p - x)/|p - x| whenever r0 > max_i u.a_i.
+    Before any search, beta = u.p - max(r0, max_i u.a_i) for the last
+    residual u is a lower bound on dist(p, H), since H lies in
+    {y : u.y <= max(...)}; a new point k lowers it at most to u.p - u.k, and
+    the search runs only once beta <= delta.  It stops at a witness, at a
+    residual whose beta exceeds delta again, or after MAX_CYCLES atoms
+    entered.  The witness is x = sum_i lam_i a_i over the corral (lam > 0,
+    sum 1), returned only if |x - p| <= delta.
+    """
+
+    MAX_CYCLES = 64
+
+    def __init__(self, p, delta, inner_radius):
+        n = len(p)
+        self.p, self.delta, self.r0 = p, delta, inner_radius
+        pnorm = float(np.linalg.norm(p))
+        # the residual direction u, u.p and the bound beta
+        self.u, self.up, self.beta = p / pnorm, pnorm, pnorm - inner_radius
+        self.atoms = np.empty((2 * n + 2, n))
+        self.count = 0
+        self.corral = [self._record(inner_radius * self.u)]
+        self.weights = np.ones(1)
+        # rows 0..k-1 of ``q`` are a_i - p over the corral's atoms, and
+        # ``gram`` holds their inner products; one more row is room for an entrant
+        self.q = np.empty((n + 2, n))
+        self.q[0] = self.atoms[0] - p
+        self.gram = np.empty((n + 2, n + 2))
+        self.scale = self.gram[0, 0] = self.beta ** 2
+        self.ones = np.ones(n + 2)
+
+    def _record(self, a):
+        if self.count == len(self.atoms):
+            self.atoms = np.concatenate([self.atoms, np.empty_like(self.atoms)])
+        self.atoms[self.count] = a
+        self.count += 1
+        return self.count - 1
+
+    def add(self, k):
+        """Record the point k of the body; a witness point or None."""
+        j = self._record(k)
+        beta = self.up - self.u @ k
+        if beta >= self.beta:
+            return None if self.beta > self.delta else self._search()
+        # while beta > delta, u is the residual direction at x, so a k that
+        # lowers beta beats every atom along u: it is the next entrant
+        entrant = j if self.beta > self.delta else None
+        self.beta = beta
+        return None if beta > self.delta else self._search(entrant)
+
+    def _search(self, entrant=None):
+        p, delta, r0 = self.p, self.delta, self.r0
+        if entrant is not None and not self._enter(entrant):
+            return None
+        for _ in range(self.MAX_CYCLES):
+            y = self.weights @ self.q[:len(self.corral)]  # x - p
+            dist = math.sqrt(y @ y)
+            if dist <= delta:
+                x = self.weights @ self.atoms[self.corral]
+                return x if math.dist(x, p) <= delta else None
+            u = y / -dist
+            scores = self.atoms[:self.count] @ u
+            j = scores.argmax()
+            top, up = scores[j], u @ p
+            self.u, self.up, self.beta = u, up, up - max(r0, top)
+            if self.beta > delta:
+                return None
+            if r0 >= top:
+                j = self._record(r0 * u)
+            elif j in self.corral:
+                return None  # no atom improves on x in float arithmetic
+            if not self._enter(j):
+                return None
+        return None
+
+    def _enter(self, j):
+        """Wolfe's minor cycles once atom j joins the corral; False, with the
+        corral kept, when j gets no positive weight or the atoms are
+        numerically dependent."""
+        k = len(self.corral)
+        if k > len(self.p):
+            return False
+        q, gram = self.q, self.gram
+        q[k] = self.atoms[j] - self.p
+        row = gram[k, :k + 1] = gram[:k + 1, k] = q[:k + 1] @ q[k]
+        self.scale = max(self.scale, row[k])
+        corral, weights = self.corral + [j], None
+        while True:
+            w = self._affine_minimizer(gram, len(corral))
+            if w is None:
+                return False
+            if w.min() > 0.0:
+                self.corral, self.weights, self.q, self.gram = corral, w, q, gram
+                return True
+            if not w[-1] > 0.0:
+                return False
+            # step from the weights toward w until the first weight reaches 0,
+            # and drop the atoms at 0 into fresh arrays (the stored corral's
+            # rows stay intact until the minor cycles succeed)
+            if weights is None:
+                weights = np.append(self.weights, 0.0)
+            out = np.flatnonzero(w <= 0.0)
+            ratios = weights[out] / (weights[out] - w[out])
+            weights = weights + ratios.min() * (w - weights)
+            weights[out[ratios.argmin()]] = 0.0
+            keep = weights > 0.0
+            corral = [a for a, kept in zip(corral, keep) if kept]
+            weights, m, k = weights[keep], len(keep), len(corral)
+            old_q, old_gram = q, gram
+            q, gram = np.empty_like(old_q), np.empty_like(old_gram)
+            q[:k] = old_q[:m][keep]
+            gram[:k, :k] = old_gram[:m, :m][keep][:, keep]
+
+    def _affine_minimizer(self, gram, k):
+        """Weights (sum 1) of the point nearest p on the affine hull of the
+        first k corral atoms: with Q's rows a_i - p, w is proportional to
+        the solution of (Q Q^T + c 1 1^T) w = 1 for any c > 0.  None when the
+        Cholesky factor fails (the atoms are affinely dependent)."""
+        factor, info = _potrf(gram[:k, :k] + self.scale, lower=True, clean=False,
+                              overwrite_a=True)
+        if info != 0:
+            return None
+        w, info = _potrs(factor, self.ones[:k], lower=True)
+        return w / w.sum()
 
 
 def _unit(rng, n):

@@ -3,7 +3,12 @@ correction heuristic they are compared against.
 
 The routes receive a query point p and a body known only through its support
 oracle, and either certify a separating direction or declare p inside up to
-the accuracy delta.
+the accuracy delta.  An in-body declaration is certified too once a point of
+the body within delta of p is in hand: the verdict frame gives each run a
+``bodies.HullWitness`` over the support points the run collects (and the
+inner ball), both routes hand it every support maximizer that did not
+separate, and a point it returns ends the run as a Witness.  The engine's
+size floor stays as the fallback for runs that find none.
 
 The direction-search route walks the unit sphere of candidate directions:
 the region of separating directions, coned to the origin, is trapped inside
@@ -11,7 +16,8 @@ a shrinking ball-plus-halfspaces region whose analytic center is always a
 nonnegative combination of the cut normals.  That conic property is exactly
 what makes each correction cut valid, so it is checked on every iteration.
 A failed query with p - k_c parallel to c gives no cut; the segment [0, k_c]
-lies in the body, and its point nearest p, if within delta of p, is a witness.
+lies in the body, and its point nearest p, if within delta of p (and the hull
+gave none), is a witness.
 
 The standard route runs feasibility over the polar slice
 {c : c.x <= 1 on the body} intersected with {c : p.c >= 1}: any point of that
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_center import CONIC_RESIDUAL_SCALE, Cut
-from .bodies import BodySpec, TOL_POLAR, TOL_ZERO, _as_vector, support
+from .bodies import BodySpec, HullWitness, TOL_POLAR, TOL_ZERO, _as_vector, support
 from .cutting_plane import (CutAnswer, FeasibilityOutcome, FeasibilityProblem, Member,
                             Witness, solve_feasibility)
 from .errors import DegenerateCut, SepoptError
@@ -77,6 +83,7 @@ class SeparationVerdict:
     reason: str
     trace: RunTrace
     region: object | None = None  # final search region (OuterApprox)
+    witness: np.ndarray | None = None  # on reason "witness": a point of the body within delta of p
 
 
 def correction_cut(c, p, k_c) -> Cut:
@@ -123,13 +130,15 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     Checks the query point, declares the origin inside, fixes the size
     floor, stamps the trace and logs one INFO line.  ``search(body, p,
-    delta, r_min, cfg)`` runs the mode's search and returns its
+    delta, r_min, cfg, hull)`` runs the mode's search, handing the run's
+    HullWitness each support maximizer that did not separate, and returns its
     FeasibilityOutcome; every support call is reported in a trace row, so the
     rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
     member, the final answer's query h is the separating functional and its
     value v the support value, so the verdict is h in max-norm with margin
     (h.p - v) / max|h|; reason "budget" makes the verdict "inconclusive".  A
     SepoptError raised with a trace has it stamped with verdict "error".
+    On reason "witness" the verdict keeps the Witness's point.
     """
     start_time = time.perf_counter()
 
@@ -146,7 +155,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
     try:
-        outcome = search(body, p, delta, r_min, cfg)
+        outcome = search(body, p, delta, r_min, cfg, HullWitness(p, delta, body.inner_radius))
     except SepoptError as exc:
         if exc.trace is not None:
             stamp(exc.trace, "error")
@@ -163,10 +172,11 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
         linf = float(np.abs(h).max())
         separator = h / linf
         margin = (float(h @ p) - v) / linf
+    witness = outcome.answer.point if outcome.reason == "witness" else None
     return SeparationVerdict(outcome.feasible, separator, margin,
                              calls, outcome.iterations,
                              "separator" if outcome.feasible else outcome.reason,
-                             trace, outcome.region)
+                             trace, outcome.region, witness)
 
 
 def heuristic_reduction(body: BodySpec, p, delta: float,
@@ -185,7 +195,7 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
                    _direction_search)
 
 
-def _direction_search(body: BodySpec, p, delta, r_min, cfg):
+def _direction_search(body: BodySpec, p, delta, r_min, cfg, hull):
     axis = p / float(np.linalg.norm(p))
 
     def adapter(omega):
@@ -199,18 +209,21 @@ def _direction_search(body: BodySpec, p, delta, r_min, cfg):
         if d < 0.0:
             return Member(query=c, value=res.value, support_point=k, support_gap=d,
                           support_calls=1)
-        try:
-            cut = correction_cut(c, p, k)
-        except DegenerateCut:
-            # 0 and k lie in the body, so the segment [0, k] does too: its
-            # nearest point to p is an in-body witness when within delta
-            x = min(max(float(p @ k) / float(k @ k), 0.0), 1.0) * k
-            if float(np.linalg.norm(x - p)) > delta:
-                raise
-            return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
-        # the certified halfspace passes through the origin (offset 0);
-        # the engine re-offsets it centrally around the center
-        return CutAnswer(cut.normal, query=c, support_point=k, support_gap=d, support_calls=1)
+        x = hull.add(k)
+        if x is None:
+            try:
+                # the certified halfspace passes through the origin (offset 0);
+                # the engine re-offsets it centrally around the center
+                return CutAnswer(correction_cut(c, p, k).normal, query=c, support_point=k,
+                                 support_gap=d, support_calls=1)
+            except DegenerateCut:
+                # 0 and k lie in the body, so the segment [0, k] does too: its
+                # nearest point to p is an in-body witness when within delta
+                # (exactly so, even where the hull's solve falls short)
+                x = min(max(float(p @ k) / float(k @ k), 0.0), 1.0) * k
+                if float(np.linalg.norm(x - p)) > delta:
+                    raise
+        return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
 
     outcome = solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
@@ -237,7 +250,7 @@ def correction_heuristic(body: BodySpec, p, delta: float,
                    _correction_search)
 
 
-def _correction_search(body: BodySpec, p, delta, r_min, cfg):
+def _correction_search(body: BodySpec, p, delta, r_min, cfg, hull):
     outcome = run_heuristic(body, p, HeuristicConfig(cfg.max_iterations or 1000))
     trace = RunTrace(mode="heuristic", rows=[
         TraceRow(iteration=i, query=c, oracle_answer="separator" if d < 0 else "dominated",
@@ -252,13 +265,16 @@ def _correction_search(body: BodySpec, p, delta, r_min, cfg):
                               answer=Member(query=c, value=float(c @ k)))
 
 
-def separate_polar(body: BodySpec, y) -> Member | CutAnswer:
+def separate_polar(body: BodySpec, y, hull: HullWitness | None = None
+                   ) -> Member | CutAnswer | Witness:
     """Separation oracle for the polar set {c : c.x <= 1 on the body}.
 
     One support query: y is a member iff the support value b = y.k is at most
     1 (+ tolerance), and the Member carries y and b; otherwise the maximizer
     k itself separates, because k.y = b > 1 while k.q <= 1 for every polar
     point q, so the CutAnswer keeps {c : -k.c >= -1} in unit-normal form.
+    A ``hull`` gets that k first, and a witness point it returns is answered
+    as a Witness.
     """
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) < TOL_ZERO:
@@ -267,11 +283,15 @@ def separate_polar(body: BodySpec, y) -> Member | CutAnswer:
     if res.value <= 1.0 + TOL_POLAR:
         return Member(query=y, value=res.value, support_calls=1)
     k = res.maximizer
+    x = None if hull is None else hull.add(k)
+    if x is not None:
+        return Witness(x, support_point=k, support_calls=1)
     knorm = float(np.linalg.norm(k))
     return CutAnswer(-k / knorm, offset=-1.0 / knorm, support_point=k, support_calls=1)
 
 
-def separate_polar_slice(body: BodySpec, p, y) -> Member | CutAnswer:
+def separate_polar_slice(body: BodySpec, p, y, hull: HullWitness | None = None
+                         ) -> Member | CutAnswer | Witness:
     """Separation oracle for the polar intersected with {c : p.c >= 1}.
 
     Points with p.y < 1 are cut off by the slice constraint itself (no
@@ -282,7 +302,7 @@ def separate_polar_slice(body: BodySpec, p, y) -> Member | CutAnswer:
     if float(p @ y) < 1.0:
         pnorm = float(np.linalg.norm(p))
         return CutAnswer(p / pnorm, offset=1.0 / pnorm)
-    return separate_polar(body, y)
+    return separate_polar(body, y, hull)
 
 
 def standard_reduction(body: BodySpec, p, delta: float,
@@ -298,10 +318,10 @@ def standard_reduction(body: BodySpec, p, delta: float,
     return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 
 
-def _polar_search(body: BodySpec, p, delta, r_min, cfg):
+def _polar_search(body: BodySpec, p, delta, r_min, cfg, hull):
     return solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
-        oracle=lambda y: separate_polar_slice(body, p, y),
+        oracle=lambda y: separate_polar_slice(body, p, y, hull),
         initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
         max_cuts=cfg.max_cuts,

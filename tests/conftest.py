@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepopt import vertex_polytope
+from sepopt import ball, vertex_polytope
 
 # The 2-D worked instance used throughout: a four-vertex polytope with the
 # origin strictly inside (inner radius 1/sqrt(10), attained at the edge
@@ -16,11 +16,25 @@ WORKED_INSIDE_POINT = np.array([-0.5, 0.5])
 # this inside point makes the search cut until the size floor instead
 WORKED_CUTTING_INSIDE_POINT = np.array([-0.4, 0.45])
 WORKED_INNER_RADIUS = 1.0 / np.sqrt(10.0)
+# Every support point is a point of the body, so an in-body run stops once
+# their hull (with the inner ball) holds a point within delta of p.  A disc
+# with a declared inner radius of 1e-3 and a query point 1e-9 inside its rim
+# keeps the hull away from p for many cuts: ``ours`` cuts 14 times before its
+# witness at delta 1e-8, and at delta 1e-13 (``ours``) or 1e-4 (``standard``)
+# the run raises NoConvergence first.
+RIM_DISC_CENTER = np.array([0.25, 0.0])
+RIM_DISC_INNER_RADIUS = 1e-3
+RIM_POINT = RIM_DISC_CENTER + (1.0 - 1e-9) * np.array([0.5, np.sqrt(3.0) / 2.0])
 
 
 @pytest.fixture
 def worked_body():
     return vertex_polytope(WORKED_VERTICES, inner_radius=WORKED_INNER_RADIUS)
+
+
+@pytest.fixture
+def rim_disc():
+    return ball(RIM_DISC_CENTER, 1.0, inner_radius=RIM_DISC_INNER_RADIUS)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from sepopt import (
     support,
     vertex_polytope,
 )
-from sepopt.bodies import TOL_SUPPORT
+from sepopt.bodies import TOL_SUPPORT, TOL_ZERO
 from sepopt.errors import DimensionMismatch, ZeroDirection
 
 from conftest import (
@@ -201,6 +201,16 @@ def test_random_instance_outside_margin_verified():
     body, p = random_instance(2, 4, 7, place="outside", margin=0.2)
     dist, _ = distance_to_body(body, p, tol=1e-6)
     assert dist >= 0.2
+
+
+def test_distance_stops_when_the_iterate_reaches_the_point(worked_body):
+    # at tol 1e-14 the iterate reaches p = (-0.5, 0.5) to within TOL_ZERO, and
+    # the next support direction x - p would be numerically zero; the 0.0
+    # certifies dist <= max(tol, TOL_ZERO)
+    p = np.array([-0.5, 0.5])
+    dist, x = distance_to_body(worked_body, p, tol=1e-14)
+    assert dist == 0.0
+    assert float(np.linalg.norm(x - p)) <= TOL_ZERO
 
 
 def test_distance_does_not_stop_on_an_away_atom_of_zero_weight():

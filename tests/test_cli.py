@@ -23,7 +23,8 @@ from sepopt.cli import compare_corpus, compare_one, main
 from sepopt.errors import InstanceFormatError, NoConvergence
 from sepopt.instances import dumps_canonical, parse_instance
 
-from conftest import WORKED_CUTTING_INSIDE_POINT
+from conftest import (RIM_DISC_CENTER, RIM_DISC_INNER_RADIUS, RIM_POINT,
+                      WORKED_CUTTING_INSIDE_POINT)
 
 DATA = Path(__file__).parent / "data"
 WORKED_OUTSIDE = DATA / "worked2d_outside.json"
@@ -35,6 +36,14 @@ def worked_instance_at(tmp_path, point):
     instance = load_instance(WORKED_INSIDE)
     path = tmp_path / "worked_at.json"
     dump_instance(Instance(instance.body, np.asarray(point, dtype=float), instance.delta), path)
+    return path
+
+
+def rim_instance(tmp_path):
+    """The rim disc and its query point (conftest), written under tmp_path."""
+    path = tmp_path / "rim.json"
+    body = ball(RIM_DISC_CENTER, 1.0, inner_radius=RIM_DISC_INNER_RADIUS)
+    dump_instance(Instance(body, RIM_POINT, 1e-3), path)
     return path
 
 
@@ -290,12 +299,12 @@ def test_separate_writes_trace(tmp_path, capsys):
                         "cut_normal", "cut_offset", "cut_kind", "inradius"}
 
 
-@pytest.mark.parametrize("mode, delta, point", [
-    pytest.param("ours", "1e-13", WORKED_CUTTING_INSIDE_POINT, id="ours-1e-13"),
-    pytest.param("standard", "1e-4", [-0.5, 0.5], id="standard-1e-4"),
+@pytest.mark.parametrize("mode, delta", [
+    pytest.param("ours", "1e-13", id="ours-1e-13"),
+    pytest.param("standard", "1e-4", id="standard-1e-4"),
 ])
-def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, point, tmp_path, capsys):
-    path = worked_instance_at(tmp_path, point)
+def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, tmp_path, capsys):
+    path = rim_instance(tmp_path)
     argv = ["separate", "--instance", str(path), "--mode", mode, "--delta", delta]
     assert main(argv) == 70
     plain = capsys.readouterr().out
@@ -405,8 +414,9 @@ def test_compare_worker_pool_matches_serial(small_corpus, tmp_path):
 
 def test_compare_separator_within_delta_outside_agrees(tmp_path, capsys):
     # at delta 0.5 the worked outside point (0.44 from the body) counts as
-    # inside, yet both routes certify a separator, which weak separation
-    # allows there
+    # inside: the direction search certifies a separator with its first
+    # query, which weak separation allows there, and the polar route finds
+    # a witness of the body within 0.5 first
     corpus = tmp_path / "worked"
     corpus.mkdir()
     for path in (WORKED_INSIDE, WORKED_OUTSIDE):
@@ -418,8 +428,25 @@ def test_compare_separator_within_delta_outside_agrees(tmp_path, capsys):
     row = {r["instance_id"]: r for r in json.loads(out_path.read_text())["rows"]}[
         "worked2d_outside"]
     assert row["true_status"] == "inside"
-    assert row["heuristic_verdict"] == row["standard_verdict"] == "separated"
+    assert (row["heuristic_verdict"], row["standard_verdict"]) == ("separated", "in_body")
     assert row["agreement"]
+
+
+def test_compare_at_delta_1e_13_decides_the_worked_inside_row(tmp_path, capsys):
+    # the truth's distance iteration reaches p (tol 1e-14 < TOL_ZERO), and
+    # both routes stop on a witness after one call
+    corpus = tmp_path / "worked"
+    corpus.mkdir()
+    (corpus / WORKED_INSIDE.name).write_text(WORKED_INSIDE.read_text())
+    out_path = tmp_path / "report.json"
+    assert main(["compare", "--corpus", str(corpus), "--out", str(out_path),
+                 "--delta", "1e-13"]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
+    [row] = json.loads(out_path.read_text())["rows"]
+    assert row["error"] is None
+    assert (row["true_status"], row["true_distance"]) == ("inside", 0.0)
+    assert (row["heuristic_verdict"], row["standard_verdict"]) == ("in_body", "in_body")
+    assert (row["heuristic_calls"], row["standard_calls"]) == (1, 1)
 
 
 def compare_with_step_budget(monkeypatch, path, max_iterations):
@@ -482,19 +509,22 @@ def test_trace2d_single_row_for_worked_outside(tmp_path):
     assert float(rows[0]["center_x"]) != 0.0
 
 
-def test_trace2d_interior_runs_until_floor(tmp_path):
+def test_trace2d_interior_run_cuts_until_its_witness(tmp_path):
     out_csv = tmp_path / "t.csv"
-    path = worked_instance_at(tmp_path, WORKED_CUTTING_INSIDE_POINT)
-    code = main(["trace2d", "--instance", str(path), "--mode", "ours", "--out", str(out_csv)])
+    path = rim_instance(tmp_path)
+    code = main(["trace2d", "--instance", str(path), "--mode", "ours", "--delta", "1e-8",
+                 "--out", str(out_csv)])
     assert code == 0
     with open(out_csv) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) > 3
-    assert all(r["cut_ax"] != "" for r in rows)
+    # every row cuts but the last, the witness row
+    assert all(r["cut_ax"] != "" for r in rows[:-1])
+    assert rows[-1]["cut_ax"] == ""
 
 
 def test_trace2d_writes_the_rows_of_a_run_that_raises(tmp_path, capsys):
-    argv = ["--instance", str(WORKED_INSIDE), "--mode", "standard", "--delta", "1e-4"]
+    argv = ["--instance", str(rim_instance(tmp_path)), "--mode", "standard", "--delta", "1e-4"]
     trace_path, out_csv = tmp_path / "trace.json", tmp_path / "t.csv"
     assert main(["separate", *argv, "--trace", str(trace_path)]) == 70
     capsys.readouterr()

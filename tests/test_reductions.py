@@ -22,8 +22,8 @@ from sepopt import (
 from sepopt.errors import DegenerateCut, DegenerateUpdate, DimensionMismatch
 from sepopt.reductions import correction_heuristic
 
-from conftest import (WORKED_CUTTING_INSIDE_POINT, WORKED_INNER_RADIUS, WORKED_INSIDE_POINT,
-                      WORKED_OUTSIDE_POINT, WORKED_VERTICES)
+from conftest import (RIM_POINT, WORKED_CUTTING_INSIDE_POINT, WORKED_INNER_RADIUS,
+                      WORKED_INSIDE_POINT, WORKED_OUTSIDE_POINT, WORKED_VERTICES)
 
 
 # ---------------------------------------------------------- correction cuts
@@ -339,15 +339,15 @@ def test_worked_instance_polar_slice_projects_onto_direction_cone(worked_body):
 
 # ------------------------------------------------------- search-state shape
 
-def test_direction_search_region_invariants(worked_body):
+def test_direction_search_region_invariants(rim_disc):
     # the final region's first cut is the protected hemisphere cut
     # a1 = p/|p| with offset min(depth, 0); every later cut came from
     # correction_cut, hence is orthogonal to the direction queried that round
-    verdict = heuristic_reduction(worked_body, WORKED_CUTTING_INSIDE_POINT, 1e-3)
+    verdict = heuristic_reduction(rim_disc, RIM_POINT, 1e-8)
     region = verdict.region
     assert region is not None
-    assert verdict.reason == "size_floor"
-    p_unit = WORKED_CUTTING_INSIDE_POINT / np.linalg.norm(WORKED_CUTTING_INSIDE_POINT)
+    assert (verdict.reason, len(region.cuts)) == ("witness", 14)
+    p_unit = RIM_POINT / np.linalg.norm(RIM_POINT)
     first = region.cuts[0]
     assert first.protected
     assert np.allclose(first.normal, p_unit, atol=1e-15)
@@ -361,7 +361,7 @@ def test_direction_search_region_invariants(worked_body):
             continue
         c = np.array(row.query)
         k = np.array(row.support_point)
-        diff = WORKED_CUTTING_INSIDE_POINT - k
+        diff = RIM_POINT - k
         a_bar = diff - float(c @ diff) * c
         expected = a_bar / np.linalg.norm(a_bar)
         assert np.array_equal(np.array(row.cut_normal), expected)
@@ -391,21 +391,24 @@ def test_degenerate_first_query_is_an_in_body_witness(vertices, inner_radius, p,
     assert np.allclose(row.query, p / np.linalg.norm(p), rtol=0.0, atol=1e-12)
 
 
-def test_degenerate_query_beyond_delta_of_its_segment_raises(worked_body, monkeypatch):
+def test_degenerate_query_beyond_delta_of_its_segment_raises(monkeypatch):
     # forced degenerate: the first query's support point is the vertex (-1, 1),
-    # whose segment from the origin passes 0.025 sqrt(2) from p = (-0.4, 0.45)
+    # whose segment from the origin passes 0.025 sqrt(2) from p = (-0.4, 0.45);
+    # with an inner radius of 1e-6 the hull of that vertex and the inner ball
+    # is no closer, so at delta 0.03 no witness exists
     import sepopt.reductions as red
 
     def degenerate(c, p, k_c):
         raise DegenerateCut("forced")
 
     monkeypatch.setattr(red, "correction_cut", degenerate)
+    body = vertex_polytope(WORKED_VERTICES, inner_radius=1e-6)
     p = WORKED_CUTTING_INSIDE_POINT
-    verdict = red.heuristic_reduction(worked_body, p, 0.05)
+    verdict = red.heuristic_reduction(body, p, 0.05)
     assert (verdict.reason, verdict.oracle_calls) == ("witness", 1)
     assert verdict.trace.rows[0].support_point.tolist() == [-1.0, 1.0]
     with pytest.raises(DegenerateCut) as info:
-        red.heuristic_reduction(worked_body, p, 0.03)
+        red.heuristic_reduction(body, p, 0.03)
     # the raising query is in no row
     assert (info.value.trace.verdict, info.value.trace.rows) == ("error", [])
 
