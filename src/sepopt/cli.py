@@ -2,7 +2,7 @@
 
 Subcommands:
   separate --instance F --mode {heuristic|ours|standard} [--delta X]
-           [--max-cuts H] [--max-iterations K] [--trace F2]
+           [--max-iterations K] [--trace F2]
   compare  --corpus D --out F [--delta X] [--jobs N]
   trace2d  --instance F --mode M --out F
 
@@ -88,8 +88,6 @@ def _build_parser():
                        help="solver mode ('ours' = direction search)")
         p.add_argument("--delta", type=_positive, default=None,
                        help="override the instance's accuracy parameter")
-        p.add_argument("--max-cuts", default=None,
-                       type=_checked(int, lambda k: k >= 2, "an integer >= 2"))
         p.add_argument("--max-iterations", default=None,
                        type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
 
@@ -116,7 +114,7 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
     (None when raised outside a run) and exit code 70."""
     route = {"heuristic": correction_heuristic, "heuristic_reduction": heuristic_reduction,
              "standard_reduction": standard_reduction}[mode]
-    cfg = ReductionConfig(max_cuts=args.max_cuts, max_iterations=args.max_iterations)
+    cfg = ReductionConfig(max_iterations=args.max_iterations)
     try:
         verdict = route(instance.body, instance.query_point, delta, cfg)
     except SepoptError as exc:

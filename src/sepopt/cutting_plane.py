@@ -89,15 +89,15 @@ class FeasibilityProblem:
     ``oracle`` maps a strictly interior point of the current region to a
     Member, CutAnswer or Witness; it must be pure (the harness may run many
     engines concurrently).  ``r_min`` is the size floor under which the
-    region is declared empty.  Defaults: ``max_cuts`` = max(30, 5n) and
-    ``max_iterations`` = 64 n log2(initial_radius / r_min).
+    region is declared empty.  ``max_iterations`` defaults to
+    64 n log2(initial_radius / r_min).  The engine keeps at most
+    max(30, 5n) cuts, dropping the least binding beyond that.
     """
 
     dimension: int
     oracle: Callable
     initial_radius: float = 1.0
     r_min: float = 1e-6
-    max_cuts: int | None = None
     max_iterations: int | None = None
     initial_cuts: tuple = ()
 
@@ -106,10 +106,6 @@ class FeasibilityProblem:
             raise ValueError("r_min must be positive")
         if self.initial_radius < self.r_min:
             raise ValueError("initial radius below the size floor")
-        if self.max_cuts is None:
-            self.max_cuts = max(30, 5 * self.dimension)
-        if self.max_cuts < 2:
-            raise ValueError("max_cuts must be at least 2")
         if self.max_iterations is None:
             self.max_iterations = max(
                 1, math.ceil(64 * self.dimension
@@ -141,6 +137,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
         except EmptyInterior:
             return FeasibilityOutcome(False, None, 0, "empty_interior", trace, P)
 
+        max_cuts = max(30, 5 * problem.dimension)
         iterations = 0
         while iterations < problem.max_iterations:
             est = inscribed_radius_estimate(P)
@@ -180,8 +177,8 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             try:
                 # each placed offset is <= normal.omega, so every slack here is >= est/2
                 omega, lambdas = analytic_center(P, warm_start=omega + (0.5 * est) * placed.normal)
-                if len(P.cuts) > problem.max_cuts:
-                    P = drop_least_binding(P, problem.max_cuts)
+                if len(P.cuts) > max_cuts:
+                    P = drop_least_binding(P, max_cuts)
                     omega, lambdas = P.center, P.conic
             except EmptyInterior:
                 return FeasibilityOutcome(False, None, iterations, "empty_interior", trace, P)

@@ -15,9 +15,10 @@ the region of separating directions, coned to the origin, is trapped inside
 a shrinking ball-plus-halfspaces region whose analytic center is always a
 nonnegative combination of the cut normals.  That conic property is exactly
 what makes each correction cut valid, so it is checked on every iteration.
-A failed query with p - k_c parallel to c gives no cut; the segment [0, k_c]
-lies in the body, and its point nearest p, if within delta of p (and the hull
-gave none), is a witness.
+A failed query with p - k_c parallel to c gives no cut; the hull contains
+the segment [0, k_c] and answers first, so such a query ends the run on a
+witness when that segment passes within delta of p, and raises DegenerateCut
+otherwise.
 
 The standard route runs feasibility over the polar slice
 {c : c.x <= 1 on the body} intersected with {c : p.c >= 1}: any point of that
@@ -52,10 +53,9 @@ CONIC_LAMBDA_FLOOR = -1e-9
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Budgets shared by both reductions (None picks the engine's defaults);
-    delta alone sets the size floor (default_r_min)."""
+    """The iteration budget shared by every mode (None picks the engine's
+    default); delta alone sets the size floor (default_r_min)."""
 
-    max_cuts: int | None = None
     max_iterations: int | None = None
 
 
@@ -130,10 +130,11 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     Checks the query point, declares the origin inside, fixes the size
     floor, stamps the trace and logs one INFO line.  ``search(body, p,
-    delta, r_min, cfg, hull)`` runs the mode's search, handing the run's
-    HullWitness each support maximizer that did not separate, and returns its
-    FeasibilityOutcome; every support call is reported in a trace row, so the
-    rows' ``support_calls`` sum to the verdict's ``oracle_calls``.  On a
+    r_min, cfg, hull)`` runs the mode's search, handing the run's
+    HullWitness (built at delta) each support maximizer that did not
+    separate, and returns its FeasibilityOutcome; every support call is
+    reported in a trace row, so the rows' ``support_calls`` sum to the
+    verdict's ``oracle_calls``.  On a
     member, the final answer's query h is the separating functional and its
     value v the support value, so the verdict is h in max-norm with margin
     (h.p - v) / max|h|; reason "budget" makes the verdict "inconclusive".  A
@@ -155,7 +156,7 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
 
     r_min = default_r_min(delta, body.outer_radius, body.dimension)
     try:
-        outcome = search(body, p, delta, r_min, cfg, HullWitness(p, delta, body.inner_radius))
+        outcome = search(body, p, r_min, cfg, HullWitness(p, delta, body.inner_radius))
     except SepoptError as exc:
         if exc.trace is not None:
             stamp(exc.trace, "error")
@@ -195,7 +196,7 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
                    _direction_search)
 
 
-def _direction_search(body: BodySpec, p, delta, r_min, cfg, hull):
+def _direction_search(body: BodySpec, p, r_min, cfg, hull):
     axis = p / float(np.linalg.norm(p))
 
     def adapter(omega):
@@ -210,27 +211,21 @@ def _direction_search(body: BodySpec, p, delta, r_min, cfg, hull):
             return Member(query=c, value=res.value, support_point=k, support_gap=d,
                           support_calls=1)
         x = hull.add(k)
-        if x is None:
-            try:
-                # the certified halfspace passes through the origin (offset 0);
-                # the engine re-offsets it centrally around the center
-                return CutAnswer(correction_cut(c, p, k).normal, query=c, support_point=k,
-                                 support_gap=d, support_calls=1)
-            except DegenerateCut:
-                # 0 and k lie in the body, so the segment [0, k] does too: its
-                # nearest point to p is an in-body witness when within delta
-                # (exactly so, even where the hull's solve falls short)
-                x = min(max(float(p @ k) / float(k @ k), 0.0), 1.0) * k
-                if float(np.linalg.norm(x - p)) > delta:
-                    raise
-        return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
+        if x is not None:
+            return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
+        # the certified halfspace passes through the origin (offset 0); the
+        # engine re-offsets it centrally around the center.  The hull holds
+        # the segment [0, k], so it answers a degenerate row (p - k parallel
+        # to c) whose segment point is within delta of p; correction_cut raises
+        # DegenerateCut on any other
+        return CutAnswer(correction_cut(c, p, k).normal, query=c, support_point=k,
+                         support_gap=d, support_calls=1)
 
     outcome = solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
         oracle=adapter,
         initial_radius=1.0,
         r_min=r_min,
-        max_cuts=cfg.max_cuts,
         max_iterations=cfg.max_iterations,
         initial_cuts=(Cut(axis, 0.0, protected=True),),
     ))
@@ -250,7 +245,7 @@ def correction_heuristic(body: BodySpec, p, delta: float,
                    _correction_search)
 
 
-def _correction_search(body: BodySpec, p, delta, r_min, cfg, hull):
+def _correction_search(body: BodySpec, p, r_min, cfg, hull):
     outcome = run_heuristic(body, p, HeuristicConfig(cfg.max_iterations or 1000))
     trace = RunTrace(mode="heuristic", rows=[
         TraceRow(iteration=i, query=c, oracle_answer="separator" if d < 0 else "dominated",
@@ -318,12 +313,11 @@ def standard_reduction(body: BodySpec, p, delta: float,
     return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 
 
-def _polar_search(body: BodySpec, p, delta, r_min, cfg, hull):
+def _polar_search(body: BodySpec, p, r_min, cfg, hull):
     return solve_feasibility(FeasibilityProblem(
         dimension=body.dimension,
         oracle=lambda y: separate_polar_slice(body, p, y, hull),
         initial_radius=1.0 / body.inner_radius,
         r_min=r_min,
-        max_cuts=cfg.max_cuts,
         max_iterations=cfg.max_iterations,
     ))

@@ -187,8 +187,8 @@ def test_separate_bad_flag_is_usage_error(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--delta", "0"], ["--delta=-1e-3"], ["--delta", "nan"], ["--max-iterations", "0"],
-    ["--mode", "heuristic", "--max-iterations", "0"], ["--max-cuts", "1"],
-    ["--delta", "inf"], ["--max-iterations", "1.5"], ["--max-cuts", "two"],
+    ["--mode", "heuristic", "--max-iterations", "0"],
+    ["--delta", "inf"], ["--max-iterations", "1.5"],
 ])
 def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
     argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
@@ -201,11 +201,11 @@ def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
 @pytest.mark.parametrize("flags", [
     ["--cut-depth=-1e-5"], ["--cut-depth=0"], ["--r-min", "1e-4"],
     ["--cut-depth=0.1"], ["--cut-depth=nan"], ["--r-min", "0"], ["--r-min", "inf"],
-    ["--seed", "0"],
+    ["--seed", "0"], ["--max-cuts", "1"], ["--max-cuts", "two"],
 ])
 def test_separate_removed_flag_is_usage_error(flags, capsys):
     # a verdict is a function of (body, p, delta): cuts are central, the floor
-    # is default_r_min, and no seed enters
+    # is default_r_min, the engine's cut cap is fixed, and no seed enters
     argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -102,11 +102,18 @@ def test_budget_exhaustion_declares_empty():
 
 
 def test_cut_dropping_keeps_engine_running():
-    problem = FeasibilityProblem(2, slab_oracle(0.97), r_min=1e-5, max_cuts=3)
+    # 30 cuts tangent to the unit ball fill the engine's 2-D cap of
+    # max(30, 5n) = 30 without shrinking the region, so every slab cut
+    # pushes the region past the cap and forces a drop
+    angles = 2.0 * math.pi * np.arange(30) / 30
+    tangent = tuple(Cut(np.array([math.cos(a), math.sin(a)]), -1.0) for a in angles)
+    problem = FeasibilityProblem(2, slab_oracle(0.97), r_min=1e-5, initial_cuts=tangent)
     out = solve_feasibility(problem)
     assert out.feasible
     assert out.point[0] >= 0.97
-    assert len(out.region.cuts) <= 3
+    placed = sum(row.cut_normal is not None for row in out.trace.rows)
+    assert len(tangent) + placed > 30
+    assert len(out.region.cuts) <= 30
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -140,8 +147,6 @@ def test_problem_validation():
         FeasibilityProblem(2, lambda w: Member(), r_min=0.0)
     with pytest.raises(ValueError):
         FeasibilityProblem(2, lambda w: Member(), r_min=2.0, initial_radius=1.0)
-    with pytest.raises(ValueError):
-        FeasibilityProblem(2, lambda w: Member(), max_cuts=1)
 
 
 def test_oracle_exceptions_propagate():
