@@ -6,11 +6,11 @@ Subcommands:
   compare  --corpus D --out F [--delta X] [--jobs N]
   trace2d  --instance F --mode M --out F
 
-Exit codes: 0 separated, 1 in-body, 2 inconclusive (heuristic mode only),
-64 usage, malformed input or unwritable output, 70 solver error (the rows the
-run made are still written to --trace or the trace2d CSV).  Every mode runs
-in one verdict frame and logs one INFO summary line per run; set SEPOPT_LOG
-to control the log level.
+Exit codes: 0 separated, 1 in-body, 2 inconclusive (out of the iteration
+budget, in any mode), 64 usage, malformed input or unwritable output, 70
+solver error (the rows the run made are still written to --trace or the
+trace2d CSV).  Every mode runs in one verdict frame and logs one INFO summary
+line per run; set SEPOPT_LOG to control the log level.
 """
 
 import argparse
@@ -206,22 +206,21 @@ def compare_one(path, delta=None) -> ComparisonRow:
         std = standard_reduction(instance.body, instance.query_point, d, ReductionConfig())
         # weak separation: a certified separator is right wherever p lies
         # (a positive margin puts p outside the body), an in-body verdict
-        # only within delta of the body
-        agreement = all(v.margin > 0 if v.separated else status == "inside"
+        # only within delta of the body, an inconclusive one never
+        agreement = all(v.margin > 0 if v.trace.verdict == "separated"
+                        else v.trace.verdict == "in_body" and status == "inside"
                         for v in (ours, std))
         if not agreement:
             logger.warning("disagreement on %s: truth=%s ours=%s standard=%s",
-                           instance_id, status,
-                           "sep" if ours.separated else "in",
-                           "sep" if std.separated else "in")
+                           instance_id, status, ours.trace.verdict, std.trace.verdict)
         return ComparisonRow(
             instance_id=instance_id,
             dimension=instance.body.dimension,
             true_status=status,
             true_distance=dist,
-            heuristic_verdict="separated" if ours.separated else "in_body",
+            heuristic_verdict=ours.trace.verdict,
             heuristic_calls=ours.oracle_calls,
-            standard_verdict="separated" if std.separated else "in_body",
+            standard_verdict=std.trace.verdict,
             standard_calls=std.oracle_calls,
             agreement=agreement,
         )

@@ -4,11 +4,12 @@ correction heuristic they are compared against.
 The routes receive a query point p and a body known only through its support
 oracle, and either certify a separating direction or declare p inside up to
 the accuracy delta.  An in-body declaration is certified too once a point of
-the body within delta of p is in hand: the verdict frame gives each run a
-``bodies.HullWitness`` over the support points the run collects (and the
-inner ball), both routes hand it every support maximizer that did not
-separate, and a point it returns ends the run as a Witness.  The engine's
-size floor stays as the fallback for runs that find none.
+the body within delta of p is in hand: a p in the inner ball is its own, and
+otherwise the verdict frame gives each run a ``bodies.HullWitness`` over the
+support points the run collects (and the inner ball), both routes hand it
+every support maximizer that did not separate, and a point it returns ends
+the run as a Witness.  The engine's size floor stays as the fallback for
+runs that find none; a run out of its budget is inconclusive.
 
 The direction-search route walks the unit sphere of candidate directions:
 the region of separating directions, coned to the origin, is trapped inside
@@ -47,9 +48,6 @@ from .heuristic import HeuristicConfig, run_heuristic
 from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
-
-CONIC_LAMBDA_FLOOR = -1e-9
-
 
 @dataclass(frozen=True)
 class ReductionConfig:
@@ -111,35 +109,33 @@ def correction_cut(c, p, k_c) -> Cut:
 
 def _verify_conic_rows(trace: RunTrace):
     for row in trace.rows:
-        failure = None
-        if row.lambda_min is not None and row.lambda_min < CONIC_LAMBDA_FLOOR:
-            failure = f"min lambda {row.lambda_min:.3e}"
-        elif row.conic_residual is not None and row.center is not None:
+        if row.conic_residual is not None and row.center is not None:
             bound = CONIC_RESIDUAL_SCALE * (1.0 + float(np.linalg.norm(row.center)))
             if row.conic_residual > bound:
-                failure = f"residual {row.conic_residual:.3e} > {bound:.3e}"
-        if failure is not None:
-            exc = SepoptError(f"conic certificate failed at iteration {row.iteration}: {failure}")
-            exc.trace = trace
-            raise exc
+                exc = SepoptError(f"conic certificate failed at iteration {row.iteration}: "
+                                  f"residual {row.conic_residual:.3e} > {bound:.3e}")
+                exc.trace = trace
+                raise exc
 
 
 def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
             search) -> SeparationVerdict:
     """The verdict frame of both routes and the correction heuristic.
 
-    Checks the query point, declares the origin inside, fixes the size
-    floor, stamps the trace and logs one INFO line.  ``search(body, p,
-    r_min, cfg, hull)`` runs the mode's search, handing the run's
-    HullWitness (built at delta) each support maximizer that did not
-    separate, and returns its FeasibilityOutcome; every support call is
-    reported in a trace row, so the rows' ``support_calls`` sum to the
-    verdict's ``oracle_calls``.  On a
-    member, the final answer's query h is the separating functional and its
-    value v the support value, so the verdict is h in max-norm with margin
-    (h.p - v) / max|h|; reason "budget" makes the verdict "inconclusive".  A
-    SepoptError raised with a trace has it stamped with verdict "error".
-    On reason "witness" the verdict keeps the Witness's point.
+    Checks the query point, fixes the size floor, stamps the trace and logs
+    one INFO line.  A p in the inner ball B(0, inner_radius), which lies in
+    the body, is its own witness: no search runs and the trace has no rows.
+    Otherwise ``search(body, p, r_min, cfg, hull)`` runs the mode's search,
+    handing the run's HullWitness (built at delta) each support maximizer
+    that did not separate, and returns its FeasibilityOutcome; every support
+    call is reported in a trace row, so the rows' ``support_calls`` sum to
+    the verdict's ``oracle_calls``.  On a member, the final answer's query h
+    is the separating functional and its value v the support value, so the
+    verdict is h in max-norm with margin (h.p - v) / max|h|; reason
+    "iteration_budget" makes the verdict "inconclusive", and every other stop
+    is "in_body".  A SepoptError raised with a trace has it stamped with
+    verdict "error".  On reason "witness" the verdict keeps the Witness's
+    point.
     """
     start_time = time.perf_counter()
 
@@ -150,21 +146,21 @@ def _reduce(mode, label, body: BodySpec, p, delta: float, cfg: ReductionConfig,
         return trace.oracle_calls
 
     p = _as_vector(p, body.dimension, "query point")
-    if float(np.linalg.norm(p)) < TOL_ZERO:
-        return SeparationVerdict(False, None, None, 0, 0, "origin_interior",
-                                 RunTrace(mode=mode, verdict="in_body"))
-
-    r_min = default_r_min(delta, body.outer_radius, body.dimension)
-    try:
-        outcome = search(body, p, r_min, cfg, HullWitness(p, delta, body.inner_radius))
-    except SepoptError as exc:
-        if exc.trace is not None:
-            stamp(exc.trace, "error")
-        raise
+    if float(np.linalg.norm(p)) <= body.inner_radius:
+        outcome = FeasibilityOutcome(False, None, 0, "witness", RunTrace(mode),
+                                     answer=Witness(p))
+    else:
+        r_min = default_r_min(delta, body.outer_radius, body.dimension)
+        try:
+            outcome = search(body, p, r_min, cfg, HullWitness(p, delta, body.inner_radius))
+        except SepoptError as exc:
+            if exc.trace is not None:
+                stamp(exc.trace, "error")
+            raise
 
     trace = outcome.trace
     verdict = ("separated" if outcome.feasible
-               else "inconclusive" if outcome.reason == "budget" else "in_body")
+               else "inconclusive" if outcome.reason == "iteration_budget" else "in_body")
     calls = stamp(trace, verdict)
     logger.info("%s: %s after %d support calls", label, verdict.replace("_", "-"), calls)
     separator = margin = None
@@ -189,8 +185,9 @@ def heuristic_reduction(body: BodySpec, p, delta: float,
     product with p, since the body contains the origin strictly); each failed
     support query adds a correction cut.  Success means the queried direction
     c = center/|center| satisfies c.k_c < c.p, which is certified back to the
-    caller with max-norm normalization.  The in-body declaration fires at the
-    size floor r_min(delta), on budget exhaustion, or on a witness.
+    caller with max-norm normalization.  The in-body declaration fires on a
+    witness or at the size floor r_min(delta); out of budget the verdict is
+    inconclusive.
     """
     return _reduce("heuristic_reduction", "direction search", body, p, delta, cfg,
                    _direction_search)
@@ -239,7 +236,8 @@ def correction_heuristic(body: BodySpec, p, delta: float,
 
     At most ``cfg.max_iterations`` support queries (1000 when None), one
     trace row each, and no size floor, so delta leaves the answer unchanged.
-    Out of budget it stops with reason "budget", verdict "inconclusive".
+    Out of budget it stops with reason "iteration_budget", verdict
+    "inconclusive", as both routes do.
     """
     return _reduce("heuristic", "correction heuristic", body, p, delta, cfg,
                    _correction_search)
@@ -252,7 +250,7 @@ def _correction_search(body: BodySpec, p, r_min, cfg, hull):
                  support_point=k, support_gap=d, support_calls=1)
         for i, (c, k, d) in enumerate(outcome.trace)])
     if outcome.inconclusive:
-        return FeasibilityOutcome(False, None, outcome.iterations, "budget", trace)
+        return FeasibilityOutcome(False, None, outcome.iterations, "iteration_budget", trace)
     c, k, _ = outcome.trace[-1]
     # the value c.k, not the oracle's matrix-product value, gives the frame's
     # margin (c.p - c.k) / max|c| the bits of -d / max|c|

@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import logging
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +23,13 @@ from sepopt import (
 from sepopt.cli import compare_corpus, compare_one, main
 from sepopt.errors import InstanceFormatError, NoConvergence
 from sepopt.instances import dumps_canonical, parse_instance
+from sepopt.reductions import ReductionConfig
 
 from conftest import (RIM_DISC_CENTER, RIM_DISC_INNER_RADIUS, RIM_POINT,
                       WORKED_CUTTING_INSIDE_POINT)
 
 DATA = Path(__file__).parent / "data"
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
 WORKED_OUTSIDE = DATA / "worked2d_outside.json"
 WORKED_INSIDE = DATA / "worked2d_inside.json"
 
@@ -160,6 +163,15 @@ def test_separate_heuristic_mode_exit_codes(capsys):
     assert code == 2
     assert out["verdict"] == "inconclusive"
     assert out["iterations"] == 40
+
+
+def test_separate_out_of_budget_is_inconclusive_in_standard_mode(capsys):
+    code = main(["separate", "--instance", str(DATA / "golden_n2_m3_s0_outside.json"),
+                 "--mode", "standard", "--max-iterations", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert (out["verdict"], out["reason"]) == ("inconclusive", "iteration_budget")
+    assert out["separator"] is None
 
 
 def test_separate_mode_aliases_match(capsys):
@@ -447,6 +459,31 @@ def test_compare_at_delta_1e_13_decides_the_worked_inside_row(tmp_path, capsys):
     assert (row["true_status"], row["true_distance"]) == ("inside", 0.0)
     assert (row["heuristic_verdict"], row["standard_verdict"]) == ("in_body", "in_body")
     assert (row["heuristic_calls"], row["standard_calls"]) == (1, 1)
+
+
+def test_compare_at_delta_1e_13_fails_no_generated_row(tmp_path, capsys):
+    # every generated inside point lies in the inner ball, so both routes
+    # answer it with its own witness before any centring
+    corpus, out_path = tmp_path / "corpus", tmp_path / "report.json"
+    runpy.run_path(str(SCRIPT))["generate"](corpus, dims=[2, 3, 4], per_dim=8,
+                                             delta=1e-3, seed_base=0)
+    assert main(["compare", "--corpus", str(corpus), "--out", str(out_path),
+                 "--delta", "1e-13"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["instances"], summary["failed"], summary["disagreements"]) == (24, 0, 0)
+
+
+def test_compare_never_counts_an_inconclusive_route_as_agreement(monkeypatch):
+    real = sepopt.cli.standard_reduction
+
+    def budgeted(body, p, delta, cfg):
+        return real(body, p, delta, ReductionConfig(max_iterations=2))
+
+    monkeypatch.setattr(sepopt.cli, "standard_reduction", budgeted)
+    row = compare_one(DATA / "golden_n2_m3_s0_outside.json")
+    assert row.error is None
+    assert (row.heuristic_verdict, row.standard_verdict) == ("separated", "inconclusive")
+    assert not row.agreement
 
 
 def compare_with_step_budget(monkeypatch, path, max_iterations):

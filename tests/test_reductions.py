@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,9 @@ def test_direction_search_on_ball():
 def test_direction_search_origin_query_is_in_body(worked_body):
     verdict = heuristic_reduction(worked_body, np.zeros(2), 1e-3)
     assert not verdict.separated
-    assert verdict.reason == "origin_interior"
+    assert verdict.reason == "witness"
     assert verdict.oracle_calls == 0
+    assert np.array_equal(verdict.witness, np.zeros(2))
 
 
 def test_direction_search_conic_certificate_logged(worked_body):
@@ -231,7 +234,8 @@ def test_standard_reduction_on_ball():
 def test_standard_reduction_origin_query(worked_body):
     verdict = standard_reduction(worked_body, np.zeros(2), 1e-3)
     assert not verdict.separated
-    assert verdict.reason == "origin_interior"
+    assert verdict.reason == "witness"
+    assert np.array_equal(verdict.witness, np.zeros(2))
 
 
 # ------------------------------------------------------ correction heuristic
@@ -241,7 +245,7 @@ def test_correction_heuristic_out_of_budget_is_inconclusive(worked_body):
     verdict = correction_heuristic(worked_body, WORKED_INSIDE_POINT, 1e-3, cfg)
     assert not verdict.separated
     assert verdict.separator is None and verdict.margin is None
-    assert verdict.reason == "budget"
+    assert verdict.reason == "iteration_budget"
     assert verdict.trace.verdict == "inconclusive"
     assert verdict.oracle_calls == verdict.iterations == len(verdict.trace.rows) == 40
 
@@ -259,8 +263,39 @@ def test_correction_heuristic_certifies_the_last_query_bitwise(worked_body):
 def test_correction_heuristic_origin_query(worked_body):
     verdict = correction_heuristic(worked_body, np.zeros(2), 1e-3)
     assert not verdict.separated
-    assert verdict.reason == "origin_interior"
+    assert verdict.reason == "witness"
     assert verdict.oracle_calls == 0 and verdict.trace.verdict == "in_body"
+    assert np.array_equal(verdict.witness, np.zeros(2))
+
+
+MODES = [correction_heuristic, heuristic_reduction, standard_reduction]
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-13])
+@pytest.mark.parametrize("point", [[0.0, 0.0], [0.125, -0.25]], ids=["origin", "inner-ball"])
+@pytest.mark.parametrize("route", MODES, ids=lambda f: f.__name__)
+def test_inner_ball_point_is_its_own_witness(worked_body, route, point, delta, caplog):
+    # B(0, inner_radius) lies in the body, so every mode answers a p in it
+    # in-body with p as the witness, without a support query
+    p = np.array(point)
+    assert float(np.linalg.norm(p)) <= WORKED_INNER_RADIUS
+    with caplog.at_level(logging.INFO, logger="sepopt.reductions"):
+        verdict = route(worked_body, p, delta)
+    assert (verdict.separated, verdict.reason, verdict.oracle_calls) == (False, "witness", 0)
+    assert np.array_equal(verdict.witness, p)
+    trace = verdict.trace
+    assert (trace.verdict, trace.oracle_calls, trace.rows) == ("in_body", 0, [])
+    [record] = caplog.records
+    assert record.levelno == logging.INFO
+    assert record.getMessage().endswith(": in-body after 0 support calls")
+
+
+@pytest.mark.parametrize("route", MODES, ids=lambda f: f.__name__)
+def test_out_of_budget_is_inconclusive_in_every_mode(rim_disc, route):
+    verdict = route(rim_disc, RIM_POINT, 1e-8, ReductionConfig(max_iterations=2))
+    assert (verdict.separated, verdict.reason) == (False, "iteration_budget")
+    assert verdict.trace.verdict == "inconclusive"
+    assert verdict.iterations == 2
 
 
 def test_correction_heuristic_error_outside_a_run_carries_no_trace(worked_body):
@@ -429,9 +464,11 @@ def test_degenerate_witness_is_a_certificate(n, seed):
     for v in own:
         for t in (0.3, 0.9, 1.0):
             p = t * v
+            # a p in the inner ball is its own witness, with no query
+            calls = 0 if float(np.linalg.norm(p)) <= body.inner_radius else 1
             for delta in (1e-3, 1e-13):
                 verdict = heuristic_reduction(body, p, delta)
-                assert (verdict.reason, verdict.oracle_calls) == ("witness", 1)
+                assert (verdict.reason, verdict.oracle_calls) == ("witness", calls)
                 x = verdict.witness
                 assert (hull.equations[:, :-1] @ x + hull.equations[:, -1]).max() <= 1e-12
                 assert float(np.linalg.norm(x - p)) <= delta
