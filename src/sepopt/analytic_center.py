@@ -253,7 +253,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             else:
                 raise NoConvergence(
                     f"full Newton step left the region at iteration {it} "
-                    f"(decrement {decrement:.3e})", last_point=x)
+                    f"(decrement {decrement:.3e})")
             continue
 
         fx = barrier_value(P, x, s)
@@ -268,13 +268,12 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             t *= 0.5
         else:
             raise NoConvergence(
-                f"line search stalled at iteration {it} (decrement {decrement:.3e})",
-                last_point=x)
+                f"line search stalled at iteration {it} (decrement {decrement:.3e})")
         x, s = candidate, s_candidate
     else:
         raise NoConvergence(
             f"no center after {MAX_NEWTON_ITERS} Newton iterations "
-            f"(gradient norm {gnorm:.3e})", last_point=x)
+            f"(gradient norm {gnorm:.3e})")
 
     logger.debug("center after %d Newton steps (|grad| %.2e)", it, gnorm)
     lambdas = q / (2.0 * s)   # q and s belong to the final x

@@ -317,15 +317,16 @@ class HullWitness:
     The search is Wolfe's nearest-point method (Math. Programming 11, 1976)
     over the recorded atoms.  Its corral (at most n + 1 affinely independent
     atoms, with positive weights, whose affine hull's point nearest p is x)
-    is kept from one call to the next, and the ball enters as an atom r0 u
-    along the residual u = (p - x)/|p - x| whenever r0 > max_i u.a_i.
-    Before any search, beta = u.p - max(r0, max_i u.a_i) for the last
-    residual u is a lower bound on dist(p, H), since H lies in
+    is kept from one call to the next as the atoms' indices, their weights
+    and ``gram``, the inner products of their a_i - p.  The ball enters as
+    an atom r0 u along the residual u = (p - x)/|p - x| whenever
+    r0 > max_i u.a_i.  Before any search, beta = u.p - max(r0, max_i u.a_i)
+    for the last residual u is a lower bound on dist(p, H), since H lies in
     {y : u.y <= max(...)}; a new point k lowers it at most to u.p - u.k, and
     the search runs only once beta <= delta.  It stops at a witness, at a
     residual whose beta exceeds delta again, or after MAX_CYCLES atoms
-    entered.  The witness is x = sum_i lam_i a_i over the corral (lam > 0,
-    sum 1), returned only if |x - p| <= delta.
+    entered.  Each cycle forms x = sum_i lam_i a_i over the corral (lam > 0,
+    sum 1) once; |x - p| <= delta is both its stop test and the certificate.
     """
 
     MAX_CYCLES = 64
@@ -340,13 +341,8 @@ class HullWitness:
         self.count = 0
         self.corral = [self._record(inner_radius * self.u)]
         self.weights = np.ones(1)
-        # rows 0..k-1 of ``q`` are a_i - p over the corral's atoms, and
-        # ``gram`` holds their inner products; one more row is room for an entrant
-        self.q = np.empty((n + 2, n))
-        self.q[0] = self.atoms[0] - p
-        self.gram = np.empty((n + 2, n + 2))
-        self.scale = self.gram[0, 0] = self.beta ** 2
-        self.ones = np.ones(n + 2)
+        self.scale = self.beta ** 2
+        self.gram = np.full((1, 1), self.scale)
 
     def _record(self, a):
         if self.count == len(self.atoms):
@@ -372,11 +368,11 @@ class HullWitness:
         if entrant is not None and not self._enter(entrant):
             return None
         for _ in range(self.MAX_CYCLES):
-            y = self.weights @ self.q[:len(self.corral)]  # x - p
+            x = self.weights @ self.atoms.take(self.corral, 0)
+            y = x - p
             dist = math.sqrt(y @ y)
             if dist <= delta:
-                x = self.weights @ self.atoms[self.corral]
-                return x if math.dist(x, p) <= delta else None
+                return x
             u = y / -dist
             scores = self.atoms[:self.count] @ u
             j = scores.argmax()
@@ -399,23 +395,25 @@ class HullWitness:
         k = len(self.corral)
         if k > len(self.p):
             return False
-        q, gram = self.q, self.gram
-        q[k] = self.atoms[j] - self.p
-        row = gram[k, :k + 1] = gram[:k + 1, k] = q[:k + 1] @ q[k]
-        self.scale = max(self.scale, row[k])
-        corral, weights = self.corral + [j], None
+        corral = self.corral + [j]
+        # border the committed Gram with the entrant's row; drops below make
+        # new arrays, so the stored corral stays intact until a commit
+        q = self.atoms.take(corral, 0) - self.p
+        gram = np.empty((k + 1, k + 1))
+        gram[:k, :k] = self.gram
+        gram[k] = gram[:, k] = q @ q[k]
+        self.scale = max(self.scale, gram[k, k])
+        weights = None
         while True:
-            w = self._affine_minimizer(gram, len(corral))
+            w = self._affine_minimizer(gram)
             if w is None:
                 return False
             if w.min() > 0.0:
-                self.corral, self.weights, self.q, self.gram = corral, w, q, gram
+                self.corral, self.weights, self.gram = corral, w, gram
                 return True
             if not w[-1] > 0.0:
                 return False
-            # step from the weights toward w until the first weight reaches 0,
-            # and drop the atoms at 0 into fresh arrays (the stored corral's
-            # rows stay intact until the minor cycles succeed)
+            # step from the weights toward w until the first weight reaches 0
             if weights is None:
                 weights = np.append(self.weights, 0.0)
             out = np.flatnonzero(w <= 0.0)
@@ -424,22 +422,19 @@ class HullWitness:
             weights[out[ratios.argmin()]] = 0.0
             keep = weights > 0.0
             corral = [a for a, kept in zip(corral, keep) if kept]
-            weights, m, k = weights[keep], len(keep), len(corral)
-            old_q, old_gram = q, gram
-            q, gram = np.empty_like(old_q), np.empty_like(old_gram)
-            q[:k] = old_q[:m][keep]
-            gram[:k, :k] = old_gram[:m, :m][keep][:, keep]
+            weights, gram = weights[keep], gram[keep][:, keep]
 
-    def _affine_minimizer(self, gram, k):
+    def _affine_minimizer(self, gram):
         """Weights (sum 1) of the point nearest p on the affine hull of the
-        first k corral atoms: with Q's rows a_i - p, w is proportional to
-        the solution of (Q Q^T + c 1 1^T) w = 1 for any c > 0.  None when the
-        Cholesky factor fails (the atoms are affinely dependent)."""
-        factor, info = _potrf(gram[:k, :k] + self.scale, lower=True, clean=False,
+        corral whose Gram matrix is ``gram``: with Q's rows a_i - p, w is
+        proportional to the solution of (Q Q^T + c 1 1^T) w = 1 for any c > 0.
+        None when the Cholesky factor fails (the atoms are affinely
+        dependent)."""
+        factor, info = _potrf(gram + self.scale, lower=True, clean=False,
                               overwrite_a=True)
         if info != 0:
             return None
-        w, info = _potrs(factor, self.ones[:k], lower=True)
+        w, info = _potrs(factor, np.ones(len(gram)), lower=True)
         return w / w.sum()
 
 

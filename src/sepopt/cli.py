@@ -8,9 +8,10 @@ Subcommands:
 
 Exit codes: 0 separated, 1 in-body, 2 inconclusive (out of the iteration
 budget, in any mode), 64 usage, malformed input or unwritable output, 70
-solver error (the rows the run made are still written to --trace or the
-trace2d CSV).  Every mode runs in one verdict frame and logs one INFO summary
-line per run; set SEPOPT_LOG to control the log level.
+solver error: any exception a route raises (the rows the run made are still
+written to --trace or the trace2d CSV).  Every mode runs in one verdict frame
+and logs one INFO summary line per run; set SEPOPT_LOG to control the log
+level.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import numpy as np
 
 from .analytic_center import TOL_NEWTON
 from .bodies import TOL_POLAR, TOL_SUPPORT, TOL_ZERO, distance_to_body, support
-from .errors import InstanceFormatError, NoConvergence, SepoptError
+from .errors import InstanceFormatError, NoConvergence
 from .instances import Instance, dumps_canonical, load_instance
 from .reductions import (
     ReductionConfig,
@@ -110,16 +111,16 @@ def _build_parser():
 
 def _run_mode(instance: Instance, mode: str, delta: float, args):
     """Run one solver mode; returns (result dict fragment, trace, exit code).
-    A SepoptError is a result too: its code and message, the trace it carries
-    (None when raised outside a run) and exit code 70."""
+    Any exception the route raises is a result too: its code and message, the
+    trace it carries (None when raised outside a run) and exit code 70."""
     route = {"heuristic": correction_heuristic, "heuristic_reduction": heuristic_reduction,
              "standard_reduction": standard_reduction}[mode]
     cfg = ReductionConfig(max_iterations=args.max_iterations)
     try:
         verdict = route(instance.body, instance.query_point, delta, cfg)
-    except SepoptError as exc:
+    except Exception as exc:  # a crash must not exit 1, the in-body code
         return ({"error": {"code": type(exc).__name__, "message": str(exc)}},
-                exc.trace, EXIT_SOFTWARE)
+                getattr(exc, "trace", None), EXIT_SOFTWARE)
     trace = verdict.trace
     fragment = {
         "verdict": trace.verdict,

@@ -31,7 +31,7 @@ from .analytic_center import (
     drop_least_binding,
     inscribed_radius_estimate,
 )
-from .errors import EmptyInterior, NoConvergence, SepoptError
+from .errors import EmptyInterior, SepoptError
 from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
@@ -182,15 +182,6 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
                     omega, lambdas = P.center, P.conic
             except EmptyInterior:
                 return FeasibilityOutcome(False, None, iterations, "empty_interior", trace, P)
-            except NoConvergence as exc:
-                # slivers thinner than the size floor can defeat float precision
-                # before their exact center exists; if the best Newton iterate
-                # already certifies the region is below the floor, stop here (no
-                # oracle query is made at the uncertified point)
-                if (exc.last_point is not None
-                        and P.min_slack(exc.last_point) < problem.r_min):
-                    return FeasibilityOutcome(False, None, iterations, "size_floor", trace, P)
-                raise
 
         return FeasibilityOutcome(False, None, iterations, "iteration_budget", trace, P)
     except SepoptError as exc:

@@ -19,9 +19,8 @@ class ZeroDirection(SepoptError):
 class NoConvergence(SepoptError):
     """An iterative routine exhausted its budget before reaching tolerance.
 
-    ``last_point`` carries the best iterate when one exists, letting callers
-    salvage a stopping decision (e.g. detect that a search region has shrunk
-    below its size floor even though its center is beyond float precision).
+    ``last_point`` carries the best iterate when one exists (the distance
+    oracle's last point of the body, which bounds the distance from above).
     """
 
     def __init__(self, message, last_point=None):

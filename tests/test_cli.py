@@ -331,6 +331,21 @@ def test_separate_writes_the_trace_of_a_run_that_raises(mode, delta, tmp_path, c
     assert trace["oracle_calls"] == sum(row["support_calls"] for row in trace["rows"])
 
 
+@pytest.mark.parametrize("mode", ["ours", "standard"])
+def test_separate_reports_a_non_sepopt_exception_as_a_solver_error(mode, tmp_path, capsys):
+    # at delta = 100 the size floor exceeds the initial radius and the engine
+    # raises ValueError before any row; the CLI must not exit 1 (in-body)
+    trace_path = tmp_path / "trace.json"
+    argv = ["separate", "--instance", str(WORKED_OUTSIDE), "--mode", mode,
+            "--delta", "100", "--trace", str(trace_path)]
+    assert main(argv) == 70
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"schema_version": 1, "mode": sepopt.cli.MODE_ALIASES[mode],
+                   "error": {"code": "ValueError",
+                             "message": "initial radius below the size floor"}}
+    assert not trace_path.exists()
+
+
 @pytest.mark.parametrize("mode", ["heuristic", "ours", "standard"])
 def test_one_dimensional_instance_is_usage_error(mode, tmp_path, capsys):
     # in 1-D every correction cut is degenerate; such bodies are refused

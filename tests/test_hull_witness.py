@@ -48,6 +48,11 @@ def check_state(hull, points, r0):
     top = max(r0, float((atoms @ hull.u).max()))
     assert abs(float(np.linalg.norm(hull.u)) - 1.0) <= 1e-12
     assert float(hull.u @ hull.p) - top >= hull.beta - 1e-12
+    # the kept Gram matrix is (A - p)(A - p)^T over the corral's atoms
+    k = len(hull.corral)
+    assert hull.gram.shape == (k, k)
+    q = atoms[hull.corral] - hull.p
+    assert np.abs(hull.gram - q @ q.T).max() <= 1e-12 * hull.gram.diagonal().max()
 
 
 @settings(max_examples=60, deadline=None)
