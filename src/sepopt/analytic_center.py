@@ -17,6 +17,7 @@ is recomputed and exposed after every center computation.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,7 @@ class OuterApprox:
         return self.A @ x - self.b
 
     def ball_slack(self, x):
-        return self.ball_radius - float(np.linalg.norm(x))
+        return self.ball_radius - math.sqrt(x @ x)
 
     def min_slack(self, x, slacks=None):
         """Smallest slack at x; ``slacks`` may pass cut_slacks(x) if known."""
@@ -128,13 +129,17 @@ def barrier_gradient(P: OuterApprox, x, slacks=None) -> np.ndarray:
 
 
 def barrier_hessian(P: OuterApprox, x, slacks=None) -> np.ndarray:
+    """(2/q) I + (4/q^2) x x^T + sum_i a_i a_i^T / s_i^2, summed in that
+    order but built in place: the outer product, its diagonal, the cuts."""
     x = np.asarray(x, dtype=float)
-    n = P.dimension
     q = P.ball_radius**2 - float(x @ x)
     if slacks is None:
         slacks = P.cut_slacks(x)
-    H = (2.0 / q) * np.eye(n) + (4.0 / q**2) * np.outer(x, x)
-    return H + (P.A / slacks[:, None]**2).T @ P.A
+    H = np.outer(x, x)
+    H *= 4.0 / q**2
+    H.flat[::P.dimension + 1] += 2.0 / q
+    H += (P.A / slacks[:, None]**2).T @ P.A
+    return H
 
 
 def conic_residual(P: OuterApprox, omega, lambdas) -> float:
@@ -224,18 +229,20 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             x = _phase1(P)
             s = P.cut_slacks(x)
 
+    fx = None   # F at x, carried over from an accepted line-search point
     for it in range(MAX_NEWTON_ITERS):
         if record_iterates is not None:
             record_iterates.append(x.copy())
         g = barrier_gradient(P, x, s)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g @ g)
         step = _newton_step(barrier_hessian(P, x, s), g)
         decrement = float(np.sqrt(max(0.0, -g @ step)))
         # the conic reconstruction residual equals (q/2)*|grad F|, so the
         # decrement-based stop additionally requires the certificate bound
         # (with 2x margin); the absolute gradient target implies it anyway
-        q = P.ball_radius**2 - float(x @ x)
-        residual_ok = 0.5 * q * gnorm <= 0.5 * CONIC_RESIDUAL_SCALE * (1.0 + np.linalg.norm(x))
+        xx = float(x @ x)
+        q = P.ball_radius**2 - xx
+        residual_ok = 0.5 * q * gnorm <= 0.5 * CONIC_RESIDUAL_SCALE * (1.0 + math.sqrt(xx))
         if gnorm <= TOL_NEWTON or (decrement <= TOL_DECREMENT and residual_ok):
             break
 
@@ -248,7 +255,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
                 candidate = x + t * step
                 s_candidate = P.cut_slacks(candidate)
                 if P.is_interior(candidate, slacks=s_candidate):
-                    x, s = candidate, s_candidate
+                    x, s, fx = candidate, s_candidate, None
                     break
             else:
                 raise NoConvergence(
@@ -256,20 +263,22 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
                     f"(decrement {decrement:.3e})")
             continue
 
-        fx = barrier_value(P, x, s)
+        if fx is None:
+            fx = barrier_value(P, x, s)
         slope = float(g @ step)
         t = 1.0
         while t > 1e-18:
             candidate = x + t * step
             s_candidate = P.cut_slacks(candidate)
-            if (P.is_interior(candidate, slacks=s_candidate)
-                    and barrier_value(P, candidate, s_candidate) <= fx + ARMIJO * t * slope):
-                break
+            if P.is_interior(candidate, slacks=s_candidate):
+                f_candidate = barrier_value(P, candidate, s_candidate)
+                if f_candidate <= fx + ARMIJO * t * slope:
+                    break
             t *= 0.5
         else:
             raise NoConvergence(
                 f"line search stalled at iteration {it} (decrement {decrement:.3e})")
-        x, s = candidate, s_candidate
+        x, s, fx = candidate, s_candidate, f_candidate
     else:
         raise NoConvergence(
             f"no center after {MAX_NEWTON_ITERS} Newton iterations "

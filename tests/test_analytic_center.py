@@ -278,6 +278,21 @@ def test_barrier_functions_given_slacks_match_recomputing_path_bitwise():
         assert np.array_equal(barrier_hessian(P, x, s), barrier_hessian(P, x))
 
 
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_barrier_hessian_matches_textbook_sum_bitwise(n):
+    # built in place, but the same products summed in the same order
+    rng = np.random.default_rng([74, n])
+    for _ in range(5):
+        P = random_region(rng, n=n, num_cuts=2 * n)
+        u = rng.normal(size=n)
+        x = float(rng.uniform(0.01, 0.09)) * u / np.linalg.norm(u)
+        q = P.ball_radius**2 - float(x @ x)
+        s = P.cut_slacks(x)
+        textbook = (2.0 / q) * np.eye(n) + (4.0 / q**2) * np.outer(x, x) \
+            + (P.A / s[:, None]**2).T @ P.A
+        assert barrier_hessian(P, x).tobytes() == textbook.tobytes()
+
+
 def test_conic_residual_matches_loop_reference():
     # the matrix product sums in another order than the loop, so the two
     # agree to float64 rounding, scaled by the magnitudes summed
