@@ -18,7 +18,7 @@ is recomputed and exposed after every center computation.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -39,24 +39,32 @@ MAX_NEWTON_ITERS = 200
 class Cut:
     """Halfspace {x : normal.x >= offset} with a unit normal.
 
-    ``protected`` cuts are never removed by drop_least_binding.
+    ``protected`` cuts are never removed by drop_least_binding.  Given a
+    point ``through``, the (normalised) offset is lowered to at most
+    normal.through: the cut is placed through that point unless its offset
+    already lies below it.
     """
 
     normal: np.ndarray
     offset: float
     protected: bool = False
+    through: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, through):
         a = np.asarray(self.normal, dtype=float)
         norm = float(np.linalg.norm(a))
         if norm < TOL_ZERO:
             raise ZeroDirection("cut normal is numerically zero")
+        offset = self.offset
         if abs(norm - 1.0) > 1e-12:
             a = a / norm
-            object.__setattr__(self, "offset", self.offset / norm)
+            offset = offset / norm
         a = np.array(a)
         a.setflags(write=False)
+        if through is not None:
+            offset = min(offset, float(a @ through))
         object.__setattr__(self, "normal", a)
+        object.__setattr__(self, "offset", offset)
 
 
 @dataclass(eq=False)

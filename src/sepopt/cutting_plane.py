@@ -165,14 +165,13 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             if isinstance(answer, Witness):
                 return FeasibilityOutcome(False, None, iterations, "witness", trace, P, answer)
 
-            cut = Cut(answer.normal, answer.offset)
             # central placement, capped by the certified offset so a float-dust
             # positive center value can never cut into the target set
-            value = float(cut.normal @ omega)
-            P = add_cut(P, Cut(cut.normal, min(cut.offset, value)))
-            placed = P.cuts[-1]
+            placed = Cut(answer.normal, answer.offset, through=omega)
+            P = add_cut(P, placed)
             row.cut_normal, row.cut_offset = placed.normal, placed.offset
-            row.cut_kind = "shallow" if cut.offset < value - KIND_TOL else "central"
+            shallow = placed.offset < float(placed.normal @ omega) - KIND_TOL
+            row.cut_kind = "shallow" if shallow else "central"
 
             try:
                 # each placed offset is <= normal.omega, so every slack here is >= est/2
