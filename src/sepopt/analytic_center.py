@@ -33,6 +33,7 @@ CONIC_RESIDUAL_SCALE = 1e-7   # certificate: |omega - sum lambda_i a_i| <= scale
 PURE_PHASE = 0.25        # decrement below which full Newton steps are safe
 ARMIJO = 0.01
 MAX_NEWTON_ITERS = 200
+RESTART_STEP = (math.sqrt(5.0) - 1.0) / 2.0   # t of dikin_restart: t^2 + t - 1 = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +75,10 @@ class OuterApprox:
     ``A`` (m x n) and ``b`` (m) stack the normals and offsets of ``cuts``
     row by row; they are built from ``cuts`` when not given, and add_cut and
     drop_least_binding carry them over row by row instead of restacking.
-    ``center`` and ``conic`` are set by analytic_center() and invalidated by
-    add_cut(); the start of the centring after a cut is the caller's, passed
-    as analytic_center's warm start.
+    ``center``, ``conic`` and ``hessian_factor`` (the lower Cholesky factor
+    of the barrier Hessian at ``center``) are set by analytic_center() and
+    invalidated by add_cut(); the start of the centring after a cut is the
+    caller's, passed as analytic_center's warm start (see dikin_restart).
     """
 
     dimension: int
@@ -84,6 +86,7 @@ class OuterApprox:
     cuts: tuple = ()
     center: np.ndarray | None = None
     conic: np.ndarray | None = None
+    hessian_factor: np.ndarray | None = field(default=None, repr=False)
     A: np.ndarray | None = field(default=None, repr=False)
     b: np.ndarray | None = field(default=None, repr=False)
 
@@ -185,11 +188,12 @@ def _phase1(P: OuterApprox, iterations=600):
 
 
 def _newton_step(H, g):
-    """Solve H step = -g through the Cholesky factor of H.
+    """Solve H step = -g through the Cholesky factor of H; returns (step, factor).
 
     The LAPACK calls and checks of cho_solve(cho_factor(H, lower=True), -g),
     in the same order, so the step is bitwise the same: a non-finite H or g
     raises ValueError, an H that is not positive definite NoConvergence.
+    ``factor`` holds the lower factor in its lower triangle.
     """
     if not np.isfinite(H).all():
         raise ValueError("Hessian must not contain infs or NaNs")
@@ -205,7 +209,7 @@ def _newton_step(H, g):
     step, info = _potrs(factor, rhs, lower=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    return step
+    return step, factor
 
 
 def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
@@ -215,8 +219,9 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     where that absolute target is below float granularity (the Hessian norm
     scales like 1/slack^2), when the Newton decrement drops below 1e-8 and
     the conic-reconstruction residual meets its 1e-7 * (1 + |omega|) bound.
-    The result is cached on P.  Determinism: same region and warm start give
-    bitwise-identical centers.  ``record_iterates`` (a list, if given)
+    The result is cached on P, with the Cholesky factor of the Hessian at
+    the returned center (the last pass factors it, then stops).
+    Determinism: same region and warm start give bitwise-identical centers.  ``record_iterates`` (a list, if given)
     receives a copy of every Newton iterate, for diagnostics.  Newton starts
     at the warm start (NotInterior unless strictly interior), else the
     origin, whichever first has every slack above 1e-12 * ball_radius, else
@@ -243,7 +248,7 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             record_iterates.append(x.copy())
         g = barrier_gradient(P, x, s)
         gnorm = math.sqrt(g @ g)
-        step = _newton_step(barrier_hessian(P, x, s), g)
+        step, factor = _newton_step(barrier_hessian(P, x, s), g)
         decrement = float(np.sqrt(max(0.0, -g @ step)))
         # the conic reconstruction residual equals (q/2)*|grad F|, so the
         # decrement-based stop additionally requires the certificate bound
@@ -293,10 +298,37 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
             f"(gradient norm {gnorm:.3e})")
 
     logger.debug("center after %d Newton steps (|grad| %.2e)", it, gnorm)
-    lambdas = q / (2.0 * s)   # q and s belong to the final x
+    lambdas = q / (2.0 * s)   # q, s and factor belong to the final x
     P.center = x
     P.conic = lambdas
+    P.hessian_factor = factor
     return x, lambdas
+
+
+def dikin_restart(P: OuterApprox, normal) -> np.ndarray:
+    """Warm start for centring P plus a cut {x : normal.x >= b}, b <= normal.omega.
+
+    With omega = P.center, H the barrier Hessian there and d = H^-1 a for
+    the unit normal a, the start is y = omega + t d / sqrt(a.d): a step of
+    H-norm t along the new cut's Dikin direction.  The constant is derived.
+    Since grad F(omega) = 0, self-concordance bounds the old barrier by
+    F(y) <= F(omega) - t - log(1 - t), and the new term is
+    -log(a.(y - omega)) <= -log(t sqrt(a.d)); minimising the sum
+    -t - log(1 - t) - log t gives t^2 + t - 1 = 0, so t = (sqrt(5) - 1)/2.
+
+    y is interior for central and shallow cuts alike: z = omega + (y - omega)/t
+    lies in the unit Dikin ellipsoid, hence in the closure of P, so
+    y = (1 - t) omega + t z keeps every old slack, the ball's too, at least
+    (1 - t) times its value at omega, and the new cut's slack is at least
+    t sqrt(a.d).  A deep cut (b > a.omega) has no such guarantee.  The cost
+    is one pair of triangular solves with the factor analytic_center cached.
+    """
+    if P.hessian_factor is None:
+        raise ValueError("dikin_restart needs a computed center")
+    d, info = _potrs(P.hessian_factor, normal, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return P.center + (RESTART_STEP / math.sqrt(normal @ d)) * d
 
 
 def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
@@ -354,8 +386,9 @@ def inscribed_radius_estimate(P: OuterApprox) -> float:
 
     The ball centered at omega with this radius fits inside P, so the value
     never exceeds the true inscribed radius; it undershoots by at most a
-    factor around sqrt(n) * (h + 1) for h cuts, which is good enough for the
-    size-floor stopping rule (never used in correctness claims).
+    factor around sqrt(n) * (h + 1) for h cuts.  It is what the size-floor
+    stop measures, and that stop is the fallback for in-body verdicts, so
+    correctness claims do rest on it.
     """
     if P.center is None:
         raise ValueError("inscribed_radius_estimate needs a computed center")

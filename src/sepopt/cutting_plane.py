@@ -10,9 +10,10 @@ Oracles answer with a Member, a CutAnswer {x : normal.x >= offset}, or a
 Witness, the client's certificate that the run can stop with no cut.  Cuts
 are applied centrally: the kept halfspace passes through the queried center,
 capped by the certified offset (the trace names the cut shallow when that
-cap binds, central otherwise).  The next centring starts from the old center
-stepped into the new cut's halfspace by half its minimum slack, which keeps
-every slack positive.
+cap binds, central otherwise).  The next centring starts from
+analytic_center.dikin_restart's point: the old center moved along the new
+cut's Dikin direction by the derived step t = (sqrt(5) - 1)/2, which keeps
+every old slack above (1 - t) of its value and the new cut's slack positive.
 """
 
 import logging
@@ -28,6 +29,7 @@ from .analytic_center import (
     add_cut,
     analytic_center,
     conic_residual,
+    dikin_restart,
     drop_least_binding,
     inscribed_radius_estimate,
 )
@@ -168,14 +170,14 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             # central placement, capped by the certified offset so a float-dust
             # positive center value can never cut into the target set
             placed = Cut(answer.normal, answer.offset, through=omega)
+            start = dikin_restart(P, placed.normal)
             P = add_cut(P, placed)
             row.cut_normal, row.cut_offset = placed.normal, placed.offset
             shallow = placed.offset < float(placed.normal @ omega) - KIND_TOL
             row.cut_kind = "shallow" if shallow else "central"
 
             try:
-                # each placed offset is <= normal.omega, so every slack here is >= est/2
-                omega, lambdas = analytic_center(P, warm_start=omega + (0.5 * est) * placed.normal)
+                omega, lambdas = analytic_center(P, warm_start=start)
                 if len(P.cuts) > max_cuts:
                     P = drop_least_binding(P, max_cuts)
                     omega, lambdas = P.center, P.conic

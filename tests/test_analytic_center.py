@@ -140,6 +140,36 @@ def test_center_is_deterministic_bitwise():
     assert np.array_equal(l1, l2)
 
 
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("placement", ["central", "shallow"])
+def test_dikin_restart_keeps_every_slack(n, placement):
+    # y = omega + t d / sqrt(a.d), d = H^-1 a: each old slack and the ball's
+    # keep a (1 - t) share, and the new cut's slack is at least t sqrt(a.d)
+    t = ENGINE.RESTART_STEP
+    assert t * t + t == pytest.approx(1.0, abs=1e-15)
+    rng = np.random.default_rng([76, n])
+    for _ in range(10):
+        P = random_region(rng, n=n, num_cuts=2 * n)
+        omega, _ = analytic_center(P)
+        a = rng.normal(size=n)
+        a /= np.linalg.norm(a)
+        lower = float(rng.uniform(0.0, 0.5)) * inscribed_radius_estimate(P)
+        cut = Cut(a, float(a @ omega) - (lower if placement == "shallow" else 0.0))
+        y = ENGINE.dikin_restart(P, cut.normal)
+        before = np.append(P.cut_slacks(omega), P.ball_slack(omega))
+        after = np.append(P.cut_slacks(y), P.ball_slack(y))
+        assert np.all(after >= (1.0 - t) * before * (1.0 - 1e-9))
+        d = np.linalg.solve(barrier_hessian(P, omega), cut.normal)
+        new_slack = float(cut.normal @ y) - cut.offset
+        assert new_slack >= t * np.sqrt(cut.normal @ d) * (1.0 - 1e-9)
+        assert add_cut(P, cut).is_interior(y)
+
+
+def test_dikin_restart_needs_a_center():
+    with pytest.raises(ValueError):
+        ENGINE.dikin_restart(OuterApprox(2), np.array([1.0, 0.0]))
+
+
 def test_warm_start_must_be_interior():
     P = add_cut(OuterApprox(2), halfspace(1, 0, 0))
     with pytest.raises(NotInterior):
@@ -321,7 +351,8 @@ def test_newton_step_matches_scipy_cholesky_bitwise(n):
         x = float(rng.uniform(0.0, 0.09)) * u / np.linalg.norm(u)
         H, g = barrier_hessian(P, x), barrier_gradient(P, x)
         expected = cho_solve(cho_factor(H, lower=True), -g)
-        assert ENGINE._newton_step(H, g).tobytes() == expected.tobytes()
+        step, _ = ENGINE._newton_step(H, g)
+        assert step.tobytes() == expected.tobytes()
 
 
 def one_cut_region():

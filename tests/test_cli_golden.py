@@ -18,6 +18,8 @@ count, the canonical JSON writer or the CSV writer shows here.
 Re-record only for a change that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+The re-record prints every entry that moved and which of its fields did.
 """
 
 import contextlib
@@ -111,6 +113,12 @@ def record():
         runs.update({f"trace2d {instance} {mode}": trace2d(instance, mode, Path(tmp) / "t.csv")
                      for instance in INSTANCES for mode in MODES})
         runs[COMPARE] = compare(Path(tmp))
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key, entry in runs.items():
+        old = previous.get(key, {})
+        moved = [field for field in entry if old.get(field) != entry[field]]
+        if moved:
+            print(f"{key}: {', '.join(moved)}")
     GOLDEN.write_text(json.dumps(runs, indent=1) + "\n")
 
 

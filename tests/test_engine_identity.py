@@ -15,6 +15,9 @@ depend on LAPACK or the linear-programming solver.  Re-record only for a
 change that is meant to alter the arithmetic:
 
     PYTHONPATH=src python tests/test_engine_identity.py --record
+
+The re-record prints, per run id and route, which fields moved, and then
+the largest |Δ| of the separators, margins and centres over all runs.
 """
 
 import functools
@@ -118,12 +121,43 @@ def generate_inputs():
     return dict(zip(RUN_IDS, runs))
 
 
+def largest_delta(old, new):
+    """max |old - new| over two equally long lists of hexed floats, else None."""
+    if old is None or new is None or len(old) != len(new):
+        return None
+    return float(np.abs(floats(old) - floats(new)).max(initial=0.0))
+
+
+def report_moves(previous, runs):
+    """Print what moved from the ``previous`` record to ``runs``."""
+    worst = {"separator": 0.0, "margin": 0.0, "centres": 0.0}
+    for run_id, run in runs.items():
+        for route in ROUTES:
+            new, old = run[route], previous.get(run_id, {}).get(route)
+            if old is None:
+                print(f"{run_id} {route}: new")
+                continue
+            moved = [key for key in new if new[key] != old.get(key)]
+            print(f"{run_id} {route}: {', '.join(moved) or 'unchanged'}")
+            pairs = {"separator": (old["separator"], new["separator"]),
+                     "margin": ([old["margin"]] if old["margin"] else None,
+                                [new["margin"]] if new["margin"] else None),
+                     "centres": (sum(old["centers"], []), sum(new["centers"], []))}
+            for key, (a, b) in pairs.items():
+                delta = largest_delta(a, b)
+                if delta is not None:
+                    worst[key] = max(worst[key], delta)
+    print("largest |Δ|: " + ", ".join(f"{key} {value:.2g}" for key, value in worst.items()))
+
+
 def record():
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     runs = generate_inputs()
     for run in runs.values():
         body, p = build_body(run), floats(run["p"])
         for route in ROUTES:
             run[route] = outcome(route, body, p)
+    report_moves(previous, runs)
     GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(key)}: {json.dumps(run)}"
                                           for key, run in runs.items()) + "\n}\n")
 
@@ -150,9 +184,9 @@ def test_route_is_bitwise_identical_to_golden(run_id, route):
 @pytest.mark.parametrize("run_id", RUN_IDS)
 def test_phase1_runs_only_for_the_direction_search_initial_region(run_id, route,
                                                                   monkeypatch):
-    # every in-loop centring starts from the old centre stepped into the new
-    # cut, so phase-1 is left only to a first region whose origin is not
-    # interior: the direction search's {x : (p/|p|).x >= 0}
+    # every in-loop centring starts from the old centre's Dikin restart
+    # point, which is interior, so phase-1 is left only to a first region
+    # whose origin is not interior: the direction search's {x : (p/|p|).x >= 0}
     module = importlib.import_module("sepopt.analytic_center")
     original = module._phase1
     regions = []
