@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateInstance,
@@ -466,6 +465,7 @@ def random_instance(n: int, num_vertices: int, seed: int,
         raise ValueError(f"place must be 'inside' or 'outside', got {place!r}")
     if margin <= 0:
         raise ValueError("margin must be positive")
+    from scipy.spatial import ConvexHull, QhullError  # about 0.1 s, needed only here
 
     rng = np.random.default_rng(seed)
     for _ in range(INSTANCE_ATTEMPTS):

@@ -151,10 +151,20 @@ def test_point_inside_the_inner_ball_is_a_witness_at_the_first_call():
     assert x is not None and float(np.linalg.norm(x - p)) <= 1e-12
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.1 s to import; sepopt must not pull it in
+def _loaded_after_import(module):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, sepopt; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, sepopt; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.1 s to import; sepopt must not pull it in
+    assert not _loaded_after_import("scipy.optimize")
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial (qhull) costs about 0.1 s to import and only
+    # random_instance needs it, so it is imported there
+    assert not _loaded_after_import("scipy.spatial")
