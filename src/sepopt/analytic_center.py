@@ -18,7 +18,7 @@ is recomputed and exposed after every center computation.
 
 import logging
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,24 +34,21 @@ PURE_PHASE = 0.25        # decrement below which full Newton steps are safe
 ARMIJO = 0.01
 MAX_NEWTON_ITERS = 200
 RESTART_STEP = (math.sqrt(5.0) - 1.0) / 2.0   # t of dikin_restart: t^2 + t - 1 = 0
+KIND_TOL = 1e-12         # a cut offset within this of a.omega counts as central
 
 
 @dataclass(frozen=True, eq=False)
 class Cut:
     """Halfspace {x : normal.x >= offset} with a unit normal.
 
-    ``protected`` cuts are never removed by drop_least_binding.  Given a
-    point ``through``, the (normalised) offset is lowered to at most
-    normal.through: the cut is placed through that point unless its offset
-    already lies below it.
+    ``protected`` cuts are never removed by drop_least_binding.
     """
 
     normal: np.ndarray
     offset: float
     protected: bool = False
-    through: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, through):
+    def __post_init__(self):
         a = np.asarray(self.normal, dtype=float)
         norm = float(np.linalg.norm(a))
         if norm < TOL_ZERO:
@@ -62,8 +59,6 @@ class Cut:
             offset = offset / norm
         a = np.array(a)
         a.setflags(write=False)
-        if through is not None:
-            offset = min(offset, float(a @ through))
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", offset)
 
@@ -305,36 +300,62 @@ def analytic_center(P: OuterApprox, warm_start=None, record_iterates=None):
     return x, lambdas
 
 
-def dikin_restart(P: OuterApprox, normal) -> np.ndarray:
-    """Warm start for centring P plus a cut {x : normal.x >= b}, b <= normal.omega.
+def _restart_step(beta: float) -> float:
+    """Positive root of t^2 + (1 - beta) t - 1 = 0; bitwise RESTART_STEP at beta = 0."""
+    return (math.sqrt((1.0 - beta)**2 + 4.0) - (1.0 - beta)) / 2.0
 
-    With omega = P.center, H the barrier Hessian there and d = H^-1 a for
-    the unit normal a, the start is y = omega + t d / sqrt(a.d): a step of
-    H-norm t along the new cut's Dikin direction.  The constant is derived.
-    Since grad F(omega) = 0, self-concordance bounds the old barrier by
-    F(y) <= F(omega) - t - log(1 - t), and the new term is
-    -log(a.(y - omega)) <= -log(t sqrt(a.d)); minimising the sum
-    -t - log(1 - t) - log t gives t^2 + t - 1 = 0, so t = (sqrt(5) - 1)/2.
 
-    y is interior for central and shallow cuts alike: z = omega + (y - omega)/t
-    lies in the unit Dikin ellipsoid, hence in the closure of P, so
-    y = (1 - t) omega + t z keeps every old slack, the ball's too, at least
-    (1 - t) times its value at omega, and the new cut's slack is at least
-    t sqrt(a.d).  A deep cut (b > a.omega) has no such guarantee.  The cost
-    is one pair of triangular solves with the factor analytic_center cached.
+def dikin_restart(P: OuterApprox, cut: Cut) -> tuple[Cut, np.ndarray]:
+    """Place a certified cut {x : a.x >= b} on P; returns (placed cut, warm start).
+
+    With omega = P.center, H the barrier Hessian there, d = H^-1 a and
+    sigma = sqrt(a.d) (the largest a.(x - omega) over the unit Dikin
+    ellipsoid), the start is y = omega + t d / sigma: a step of H-norm t
+    along the new cut's Dikin direction.
+
+    Placement.  A central or shallow cut (b <= a.omega + KIND_TOL) is placed
+    at min(b, a.omega), through omega unless its certified offset lies
+    below.  A deep cut (b > a.omega + KIND_TOL) keeps its certified depth in
+    the local norm up to the central restart step t0 = RESTART_STEP: it is
+    placed at a.omega + beta sigma with beta = min((b - a.omega)/sigma, t0),
+    so never past omega + t0 d / sigma, and beta = 0 for the other two.
+
+    Step.  Since grad F(omega) = 0, self-concordance bounds the old barrier
+    by F(y) <= F(omega) - t - log(1 - t) for t < 1, and the new term is
+    -log(a.y - a.omega - beta sigma) = -log((t - beta) sigma).  Minimising
+    the sum -t - log(1 - t) - log(t - beta) over beta < t < 1 sets
+    -1 + 1/(1 - t) - 1/(t - beta) = 0, that is t (t - beta) = 1 - t, so t
+    is the positive root of t^2 + (1 - beta) t - 1 = 0 (the deep-cut restart
+    of Goffin, Luo & Ye, SIAM J. Optim. 6, 1996).  It lies in (beta, 1),
+    and beta = 0 gives t0 = (sqrt(5) - 1)/2 bit for bit.
+
+    y is interior: z = omega + d / sigma lies in the unit Dikin ellipsoid,
+    hence in the closure of P, so y = (1 - t) omega + t z keeps every old
+    slack, the ball's too, at least (1 - t) times its value at omega, and
+    the placed cut's slack is at least (t - beta) sigma > 0.  The cost is
+    one pair of triangular solves with the factor analytic_center cached.
     """
     if P.hessian_factor is None:
         raise ValueError("dikin_restart needs a computed center")
-    d, info = _potrs(P.hessian_factor, normal, lower=True)
+    a = cut.normal
+    d, info = _potrs(P.hessian_factor, a, lower=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    return P.center + (RESTART_STEP / math.sqrt(normal @ d)) * d
+    sigma = math.sqrt(a @ d)
+    centre = float(a @ P.center)
+    if cut.offset > centre + KIND_TOL:
+        offset = min(cut.offset, centre + RESTART_STEP * sigma)
+        beta = (offset - centre) / sigma
+    else:
+        offset, beta = min(cut.offset, centre), 0.0
+    return Cut(a, offset), P.center + (_restart_step(beta) / sigma) * d
 
 
 def add_cut(P: OuterApprox, cut: Cut) -> OuterApprox:
     """Append a cut as given; returns a new region with the center caches
     invalidated.  Where the cut sits relative to the old center is the
-    caller's choice (the cutting-plane loop places every cut centrally)."""
+    caller's choice (the cutting-plane loop places each cut with
+    dikin_restart: central, shallow, or deep up to the restart point)."""
     return OuterApprox(
         dimension=P.dimension,
         ball_radius=P.ball_radius,

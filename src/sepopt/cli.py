@@ -134,7 +134,8 @@ def _run_mode(instance: Instance, mode: str, delta: float, args):
 
 
 def _tolerances(instance: Instance, delta: float) -> dict:
-    # every cut is central, so the depth is the constant 0.0
+    # no option sets a cut depth (the engine places each cut, a deep one up
+    # to its restart point); the key stays 0.0 so the schema keeps version 1
     return {
         "delta": delta,
         "r_min": default_r_min(delta, instance.body.outer_radius, instance.body.dimension),

@@ -7,13 +7,16 @@ repeat until the region's inscribed radius falls under the size floor or the
 iteration budget runs out.
 
 Oracles answer with a Member, a CutAnswer {x : normal.x >= offset}, or a
-Witness, the client's certificate that the run can stop with no cut.  Cuts
-are applied centrally: the kept halfspace passes through the queried center,
-capped by the certified offset (the trace names the cut shallow when that
-cap binds, central otherwise).  The next centring starts from
-analytic_center.dikin_restart's point: the old center moved along the new
-cut's Dikin direction by the derived step t = (sqrt(5) - 1)/2, which keeps
-every old slack above (1 - t) of its value and the new cut's slack positive.
+Witness, the client's certificate that the run can stop with no cut.
+analytic_center.dikin_restart places each cut and gives the next centring's
+start.  A cut certified at or below the queried center is placed through it,
+capped by the certified offset (the trace names it shallow when that cap
+binds, central otherwise).  A cut certified deeper keeps its depth, measured
+in the center's local norm, up to the central restart point (the trace names
+it deep).  The start is the old center moved along the new cut's Dikin
+direction by a step derived from the self-concordance bound, (sqrt(5) - 1)/2
+for a central cut and longer for a deep one: every old slack keeps a share
+of its value and the placed cut's slack is positive.
 """
 
 import logging
@@ -24,6 +27,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .analytic_center import (
+    KIND_TOL,
     Cut,
     OuterApprox,
     add_cut,
@@ -37,8 +41,6 @@ from .errors import EmptyInterior, SepoptError
 from .traces import RunTrace, TraceRow
 
 logger = logging.getLogger(__name__)
-
-KIND_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +169,14 @@ def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityOutcome:
             if isinstance(answer, Witness):
                 return FeasibilityOutcome(False, None, iterations, "witness", trace, P, answer)
 
-            # central placement, capped by the certified offset so a float-dust
-            # positive center value can never cut into the target set
-            placed = Cut(answer.normal, answer.offset, through=omega)
-            start = dikin_restart(P, placed.normal)
+            # placed centrally, shallow at its certified offset, or deep up
+            # to the restart point; never past the certified offset
+            placed, start = dikin_restart(P, Cut(answer.normal, answer.offset))
             P = add_cut(P, placed)
             row.cut_normal, row.cut_offset = placed.normal, placed.offset
-            shallow = placed.offset < float(placed.normal @ omega) - KIND_TOL
-            row.cut_kind = "shallow" if shallow else "central"
+            centre = float(placed.normal @ omega)
+            row.cut_kind = ("shallow" if placed.offset < centre - KIND_TOL
+                            else "deep" if placed.offset > centre else "central")
 
             try:
                 omega, lambdas = analytic_center(P, warm_start=start)

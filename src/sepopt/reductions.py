@@ -210,11 +210,11 @@ def _direction_search(body: BodySpec, p, r_min, cfg, hull):
         x = hull.add(k)
         if x is not None:
             return Witness(x, query=c, support_point=k, support_gap=d, support_calls=1)
-        # the certified halfspace passes through the origin (offset 0); the
-        # engine re-offsets it centrally around the center.  The hull holds
-        # the segment [0, k], so it answers a degenerate row (p - k parallel
-        # to c) whose segment point is within delta of p; correction_cut raises
-        # DegenerateCut on any other
+        # the certified halfspace passes through the origin (offset 0) and,
+        # its normal being orthogonal to c, through the center: a central
+        # cut.  The hull holds the segment [0, k], so it answers a degenerate
+        # row (p - k parallel to c) whose segment point is within delta of p;
+        # correction_cut raises DegenerateCut on any other
         return CutAnswer(correction_cut(c, p, k).normal, query=c, support_point=k,
                          support_gap=d, support_calls=1)
 
@@ -305,8 +305,9 @@ def standard_reduction(body: BodySpec, p, delta: float,
     Runs feasibility over the polar slice inside the ball of radius
     1/inner_radius (which contains the whole polar).  A feasible point y has
     p.y >= 1 and support value at most 1 + tolerance, so {x : y.x = 1}
-    separates; it is reported max-norm normalized with its margin.  Cuts are
-    applied centrally even though the polar oracle certifies depth.
+    separates; it is reported max-norm normalized with its margin.  Every
+    cut the polar oracle certifies cuts the queried centre off, and the
+    engine keeps its certified depth up to the restart point (a deep cut).
     """
     return _reduce("standard_reduction", "polar route", body, p, delta, cfg, _polar_search)
 

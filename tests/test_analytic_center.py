@@ -140,34 +140,56 @@ def test_center_is_deterministic_bitwise():
     assert np.array_equal(l1, l2)
 
 
+# certified depth of the cut in the centre's local norm, in units of
+# sigma = sqrt(a.H^-1 a); 1.5 lies beyond the restart step and is capped
+DEPTHS = {"central": 0.0, "deep-0.1": 0.1, "deep-0.3": 0.3,
+          "deep-t0": ENGINE.RESTART_STEP, "capped": 1.5}
+
+
 @pytest.mark.parametrize("n", [2, 8, 32])
-@pytest.mark.parametrize("placement", ["central", "shallow"])
+@pytest.mark.parametrize("placement", ["shallow", *DEPTHS])
 def test_dikin_restart_keeps_every_slack(n, placement):
-    # y = omega + t d / sqrt(a.d), d = H^-1 a: each old slack and the ball's
-    # keep a (1 - t) share, and the new cut's slack is at least t sqrt(a.d)
-    t = ENGINE.RESTART_STEP
-    assert t * t + t == pytest.approx(1.0, abs=1e-15)
+    # y = omega + t d / sigma, d = H^-1 a: a deep cut is placed at
+    # a.omega + beta sigma, beta = min(depth, t0), each old slack and the
+    # ball's keep a (1 - t) share, and the placed cut's slack is at least
+    # (t - beta) sigma, with t the positive root of t^2 + (1 - beta) t - 1
+    t0 = ENGINE.RESTART_STEP
+    assert t0 * t0 + t0 == pytest.approx(1.0, abs=1e-15)
     rng = np.random.default_rng([76, n])
     for _ in range(10):
         P = random_region(rng, n=n, num_cuts=2 * n)
         omega, _ = analytic_center(P)
         a = rng.normal(size=n)
         a /= np.linalg.norm(a)
-        lower = float(rng.uniform(0.0, 0.5)) * inscribed_radius_estimate(P)
-        cut = Cut(a, float(a @ omega) - (lower if placement == "shallow" else 0.0))
-        y = ENGINE.dikin_restart(P, cut.normal)
+        sigma = float(np.sqrt(a @ np.linalg.solve(barrier_hessian(P, omega), a)))
+        centre = float(a @ omega)
+        if placement == "shallow":
+            offset = centre - float(rng.uniform(0.0, 0.5)) * inscribed_radius_estimate(P)
+        else:
+            offset = centre + DEPTHS[placement] * sigma
+        beta = min(DEPTHS.get(placement, 0.0), t0)
+        t = ENGINE._restart_step(beta)
+        assert beta < t < 1.0 and t * t + (1.0 - beta) * t == pytest.approx(1.0, abs=1e-15)
+        placed, y = ENGINE.dikin_restart(P, Cut(a, offset))
+        assert np.array_equal(placed.normal, a)
+        assert placed.offset <= offset
+        assert placed.offset == pytest.approx(min(offset, centre + beta * sigma),
+                                              rel=1e-12, abs=1e-12 * sigma)
         before = np.append(P.cut_slacks(omega), P.ball_slack(omega))
         after = np.append(P.cut_slacks(y), P.ball_slack(y))
         assert np.all(after >= (1.0 - t) * before * (1.0 - 1e-9))
-        d = np.linalg.solve(barrier_hessian(P, omega), cut.normal)
-        new_slack = float(cut.normal @ y) - cut.offset
-        assert new_slack >= t * np.sqrt(cut.normal @ d) * (1.0 - 1e-9)
-        assert add_cut(P, cut).is_interior(y)
+        new_slack = float(a @ y) - placed.offset
+        assert new_slack >= (t - beta) * sigma * (1.0 - 1e-9)
+        assert add_cut(P, placed).is_interior(y)
+
+
+def test_restart_step_of_a_central_cut_is_restart_step_bitwise():
+    assert ENGINE._restart_step(0.0) == ENGINE.RESTART_STEP
 
 
 def test_dikin_restart_needs_a_center():
     with pytest.raises(ValueError):
-        ENGINE.dikin_restart(OuterApprox(2), np.array([1.0, 0.0]))
+        ENGINE.dikin_restart(OuterApprox(2), Cut(np.array([1.0, 0.0]), 0.0))
 
 
 def test_warm_start_must_be_interior():

@@ -216,7 +216,7 @@ def test_separate_out_of_range_flag_is_usage_error(flags, capsys):
     ["--seed", "0"], ["--max-cuts", "1"], ["--max-cuts", "two"],
 ])
 def test_separate_removed_flag_is_usage_error(flags, capsys):
-    # a verdict is a function of (body, p, delta): cuts are central, the floor
+    # a verdict is a function of (body, p, delta): the engine places cuts, the floor
     # is default_r_min, the engine's cut cap is fixed, and no seed enters
     argv = ["separate", "--instance", str(WORKED_INSIDE), "--mode", "ours", *flags]
     with pytest.raises(SystemExit) as exc:

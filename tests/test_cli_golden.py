@@ -19,7 +19,8 @@ Re-record only for a change that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
-The re-record prints every entry that moved and which of its fields did.
+The re-record prints every entry that moved and which of its fields did,
+with the ``separate`` oracle calls before and after when they moved.
 """
 
 import contextlib
@@ -45,6 +46,7 @@ MODES = ("heuristic", "ours", "standard")
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_comparison.py"
 COMPARE = "compare dims 2,3 per_dim 4"
 WALL_TIME = re.compile(r'"wall_time": [^,\n]*')
+CALLS = re.compile(r'"oracle_calls": ?(\d+)')
 
 
 def separate(instance, mode, trace):
@@ -118,7 +120,10 @@ def record():
         old = previous.get(key, {})
         moved = [field for field in entry if old.get(field) != entry[field]]
         if moved:
-            print(f"{key}: {', '.join(moved)}")
+            calls = [CALLS.search(e.get("stdout", "")) for e in (old, entry)]
+            note = (f" (calls {calls[0][1]} → {calls[1][1]})"
+                    if all(calls) and calls[0][1] != calls[1][1] else "")
+            print(f"{key}: {', '.join(moved)}{note}")
     GOLDEN.write_text(json.dumps(runs, indent=1) + "\n")
 
 

@@ -126,9 +126,11 @@ def test_iteration_count_within_hard_cap(n, t):
     assert out.iterations <= 64 * n * math.log2(1.0 / t)
 
 
-def test_trace_names_a_cut_shallow_only_when_its_certified_offset_binds():
-    # offsets certified below, at and above e1.center; only the first is
-    # placed below the center, the other two pass through it
+def test_trace_names_a_cut_by_where_its_certified_offset_lies():
+    # offsets certified below, at and above e1.center: the first is placed
+    # below the center (shallow), the second through it (central) and the
+    # third above it (deep; 0.1 lies past the restart point there, so it is
+    # placed at that point)
     shifts = iter((-0.1, 0.0, 0.1))
 
     def oracle(w):
@@ -139,7 +141,7 @@ def test_trace_names_a_cut_shallow_only_when_its_certified_offset_binds():
 
     out = solve_feasibility(FeasibilityProblem(2, oracle, r_min=1e-3))
     assert out.feasible
-    assert [row.cut_kind for row in out.trace.rows] == ["shallow", "central", "central", None]
+    assert [row.cut_kind for row in out.trace.rows] == ["shallow", "central", "deep", None]
 
 
 def test_problem_validation():

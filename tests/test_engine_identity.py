@@ -16,8 +16,9 @@ change that is meant to alter the arithmetic:
 
     PYTHONPATH=src python tests/test_engine_identity.py --record
 
-The re-record prints, per run id and route, which fields moved, and then
-the largest |Δ| of the separators, margins and centres over all runs.
+The re-record prints, per run id and route, which fields moved (with the
+oracle calls before and after when they moved), and then the largest |Δ|
+of the separators, margins and centres over all runs.
 """
 
 import functools
@@ -138,7 +139,9 @@ def report_moves(previous, runs):
                 print(f"{run_id} {route}: new")
                 continue
             moved = [key for key in new if new[key] != old.get(key)]
-            print(f"{run_id} {route}: {', '.join(moved) or 'unchanged'}")
+            calls = (f" (calls {old['oracle_calls']} → {new['oracle_calls']})"
+                     if "oracle_calls" in moved else "")
+            print(f"{run_id} {route}: {', '.join(moved) or 'unchanged'}{calls}")
             pairs = {"separator": (old["separator"], new["separator"]),
                      "margin": ([old["margin"]] if old["margin"] else None,
                                 [new["margin"]] if new["margin"] else None),

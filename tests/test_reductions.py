@@ -357,6 +357,39 @@ def test_correction_cut_replay_against_brute_force_direction():
             assert float(m_star @ np.array(row.center)) >= -1e-6
 
 
+def test_polar_cut_replay_keeps_the_nearest_point_functional():
+    # c* = m*/h(m*), m* the unit direction from the nearest point of the body
+    # to p, lies in the polar (h(c*) = 1) and in the slice (p.c* > 1), so
+    # every placed cut, deep ones included, must keep it; a cut is capped
+    # when it is placed below its certified offset (-1/|k| for a polar cut
+    # with support point k, 1/|p| for the slice cut)
+    delta = 1e-3
+    deep = capped = 0
+    for i in range(12):
+        n = 2 + (i % 3)
+        body, p = random_instance(n, n + 5, 300 + i, place="outside",
+                                  margin=0.05 if i % 2 else 0.3)
+        _, nearest = distance_to_body(body, p, tol=1e-7)
+        m_star = (p - nearest) / np.linalg.norm(p - nearest)
+        c_star = m_star / support(body, m_star).value
+        assert float(p @ c_star) > 1.0
+        verdict = standard_reduction(body, p, delta)
+        assert verdict.separated
+        for row in verdict.trace.rows:
+            if row.cut_normal is None:
+                continue
+            assert float(row.cut_normal @ c_star) >= row.cut_offset - 1e-10
+            k = row.support_point
+            certified = (1.0 / np.linalg.norm(p) if k is None
+                         else -1.0 / np.linalg.norm(k))
+            assert row.cut_offset <= certified
+            if row.cut_kind == "deep":
+                deep += 1
+                capped += row.cut_offset < certified - 1e-12
+    # require deep and capped cuts so the replay cannot go vacuous
+    assert deep >= 1 and capped >= 1
+
+
 def test_worked_instance_polar_slice_projects_onto_direction_cone(worked_body):
     # the standard route's feasible point, radially normalized, lies in the
     # direction-search's final region for the same query point
